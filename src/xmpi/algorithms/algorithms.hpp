@@ -219,7 +219,8 @@ void append_binomial_reduce(Schedule& s, void const* input, void* recvbuf, int c
                             MPI_Datatype type, MPI_Op op, int root, int tag_base);
 
 // ---------------------------------------------------------------------------
-// Shared datatype helpers (also used by collectives.cpp).
+// Datatype helpers and per-rank block layouts shared with collectives.cpp,
+// and the v-family builders over those layouts.
 // ---------------------------------------------------------------------------
 
 inline std::byte* at_offset(void* base, long long elements, MPI_Datatype t) {
@@ -240,6 +241,56 @@ inline void local_copy(void const* src, int scount, MPI_Datatype stype, void* ds
     stype->pack(src, scount, tmp.data());
     rtype->unpack(tmp.data(), rtype->size > 0 ? static_cast<int>(bytes / rtype->size) : 0, dst);
 }
+
+/// Appends local_copy as an execution-time step, so a restarted schedule
+/// re-reads the source current at that start.
+inline void append_copy(Schedule& s, void const* src, int scount, MPI_Datatype stype, void* dst,
+                        MPI_Datatype rtype) {
+    s.local([=] {
+        local_copy(src, scount, stype, dst, rtype);
+        return MPI_SUCCESS;
+    });
+}
+
+/// Where each rank's block lives in a buffer holding one block per rank:
+/// `count` elements of `type` back to back (uniform), per-rank `counts` at
+/// element `displs` (the v-collectives), or per-rank `types` at byte
+/// `displs` (MPI_Alltoallw). Describes send and receive buffers alike, so
+/// `buf` drops the const of a send buffer; builders only read through it.
+struct Blocks {
+    void* buf = nullptr;
+    MPI_Datatype type = nullptr;
+    int count = 0;
+    int const* counts = nullptr;
+    int const* displs = nullptr;
+    MPI_Datatype const* types = nullptr;
+
+    static Blocks uniform(void const* buf, int count, MPI_Datatype type) {
+        return {const_cast<void*>(buf), type, count};
+    }
+    static Blocks ragged(void const* buf, int const* counts, int const* displs, MPI_Datatype type) {
+        return {const_cast<void*>(buf), type, 0, counts, displs};
+    }
+    static Blocks typed(void const* buf, int const* counts, int const* byte_displs,
+                        MPI_Datatype const* types) {
+        return {const_cast<void*>(buf), nullptr, 0, counts, byte_displs, types};
+    }
+
+    std::byte* at(int i) const {
+        if (types != nullptr) return static_cast<std::byte*>(buf) + displs[i];
+        return at_offset(buf, counts != nullptr ? displs[i] : static_cast<long long>(i) * count,
+                         type);
+    }
+    int count_of(int i) const { return counts != nullptr ? counts[i] : count; }
+    MPI_Datatype type_of(int i) const { return types != nullptr ? types[i] : type; }
+};
+
+/// Allgatherv: the allgather family's flat exchange over per-rank blocks
+/// (the caller's own block must be in place when the sends run).
+void build_allgatherv(Schedule& s, Blocks const& recv);
+/// Alltoallv / alltoallw: the alltoall family's pairwise exchange over
+/// per-peer blocks, own block included.
+void build_alltoallv(Schedule& s, Blocks const& send, Blocks const& recv);
 
 /// The communicator universe's Config as a two-tier bench machine, with the
 /// tuning overlay (control pins > calibrated fit > XMPI_TUNE_PROFILE)

@@ -3,38 +3,32 @@
 /// per round — the flat reference) and Bruck's algorithm (ceil(log2 p)
 /// rounds over packed blocks: a local rotation, log-many shifted exchanges
 /// of the blocks whose index has the round's bit set, and an inverse
-/// rotation on unpack — latency-optimal for small blocks).
+/// rotation on unpack — latency-optimal for small blocks). The pairwise
+/// exchange is written over per-peer blocks, so it is the alltoallv and
+/// alltoallw builder too.
 #include <algorithm>
 #include <cstring>
 
 #include "algorithms.hpp"
 
 namespace xmpi::detail::alg {
-namespace {
 
-void build_pairwise(Schedule& s, void const* sendbuf, int sendcount, MPI_Datatype sendtype,
-                    void* recvbuf, int recvcount, MPI_Datatype recvtype) {
+void build_alltoallv(Schedule& s, Blocks const& send, Blocks const& recv) {
     int const p = s.size();
     int const r = s.rank();
     // Own block as an execution-time step (not at build time) so a restarted
     // schedule re-reads the send buffer contents current at that start.
-    s.local([sendbuf, sendcount, sendtype, recvbuf, recvcount, recvtype, r]() {
-        local_copy(at_offset(sendbuf, static_cast<long long>(r) * sendcount, sendtype), sendcount,
-                   sendtype, at_offset(recvbuf, static_cast<long long>(r) * recvcount, recvtype),
-                   recvtype);
-        return MPI_SUCCESS;
-    });
+    append_copy(s, send.at(r), send.count_of(r), send.type_of(r), recv.at(r), recv.type_of(r));
     for (int i = 1; i < p; ++i) {
         int const dst = (r + i) % p;
         int const src = (r - i + p) % p;
-        int const slot =
-            s.post(src, i, at_offset(recvbuf, static_cast<long long>(src) * recvcount, recvtype),
-                   recvcount, recvtype);
-        s.send(dst, i, at_offset(sendbuf, static_cast<long long>(dst) * sendcount, sendtype),
-               sendcount, sendtype);
+        int const slot = s.post(src, i, recv.at(src), recv.count_of(src), recv.type_of(src));
+        s.send(dst, i, send.at(dst), send.count_of(dst), send.type_of(dst));
         s.wait(slot);
     }
 }
+
+namespace {
 
 void build_bruck(Schedule& s, void const* sendbuf, int sendcount, MPI_Datatype sendtype,
                  void* recvbuf, int recvcount, MPI_Datatype recvtype) {
@@ -113,15 +107,12 @@ void build_bruck(Schedule& s, void const* sendbuf, int sendcount, MPI_Datatype s
 
 int build_alltoall(int alg, Schedule& s, void const* sendbuf, int sendcount, MPI_Datatype sendtype,
                    void* recvbuf, int recvcount, MPI_Datatype recvtype) {
-    if (s.size() == 1) {
-        s.local([sendbuf, sendcount, sendtype, recvbuf, recvtype]() {
-            local_copy(sendbuf, sendcount, sendtype, recvbuf, recvtype);
-            return MPI_SUCCESS;
-        });
-        return MPI_SUCCESS;
-    }
+    if (s.size() == 1) alg = 0;
     switch (alg) {
-        case 0: build_pairwise(s, sendbuf, sendcount, sendtype, recvbuf, recvcount, recvtype); break;
+        case 0:
+            build_alltoallv(s, Blocks::uniform(sendbuf, sendcount, sendtype),
+                            Blocks::uniform(recvbuf, recvcount, recvtype));
+            break;
         case 1: build_bruck(s, sendbuf, sendcount, sendtype, recvbuf, recvcount, recvtype); break;
         case 2: return build_hier_alltoall(s, sendbuf, sendcount, sendtype, recvbuf, recvcount, recvtype);
         default: return MPI_ERR_ARG;

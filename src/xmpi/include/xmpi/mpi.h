@@ -265,17 +265,17 @@ int MPI_Exscan(const void* sendbuf, void* recvbuf, int count, MPI_Datatype type,
 int MPI_Reduce_scatter_block(const void* sendbuf, void* recvbuf, int recvcount, MPI_Datatype type,
                              MPI_Op op, MPI_Comm comm);
 
-// Non-blocking collectives. Implemented as progressable generalized requests
-// on the same internal point-to-point engine as their blocking counterparts
-// (the MPI_Ibarrier pattern): the operation's communication schedule is
-// materialized at initiation and executed incrementally as
-// MPI_Wait*/MPI_Test* drive the request's progress state machine.
-// Completion order across multiple outstanding collective requests is
-// unconstrained (wait in any order, or use MPI_Waitall). Ibcast, Ireduce,
-// Iallreduce, Iallgather and Ialltoall run the same selectable algorithms
-// as the blocking calls (see XMPI_T_alg_* below); the remaining i-variants
-// use flat (linear) schedules, the standard shape for nonblocking fallback
-// implementations (cf. libNBC).
+// Non-blocking collectives. Each one runs the same schedule as its blocking
+// counterpart, materialized at initiation and executed incrementally as
+// MPI_Wait*/MPI_Test* drive the request (or by the asynchronous progress
+// engine, see XMPI_T_progress_set below), so blocking and nonblocking calls
+// send the same messages and produce byte-identical results. Completion
+// order across multiple outstanding collective requests is unconstrained
+// (wait in any order, or use MPI_Waitall). Ibcast, Ireduce, Iallreduce,
+// Iallgather and Ialltoall run the algorithm selected per call (see
+// XMPI_T_alg_* below); the other families have one fixed shape each:
+// dissemination barrier, linear gather(v)/scatter(v), flat allgatherv,
+// pairwise alltoallv and Hillis–Steele scan/exscan.
 int MPI_Igather(const void* sendbuf, int sendcount, MPI_Datatype sendtype, void* recvbuf,
                 int recvcount, MPI_Datatype recvtype, int root, MPI_Comm comm,
                 MPI_Request* request);

@@ -420,12 +420,6 @@ bool any_member_dead(MPI_Comm comm);
 /// (internal allreduce-max over the collective context).
 int agree_context(MPI_Comm comm);
 
-/// Internal building blocks reused across collectives and comm management.
-/// These run on the *collective* context of `comm` using its coll_seq.
-int coll_allgather_bytes(MPI_Comm comm, void const* send, int bytes_each, void* recv);
-int coll_allreduce_max_int(MPI_Comm comm, int value, int* out);
-int coll_barrier(MPI_Comm comm);
-
 /// Encodes collective step tags: (seq, step) -> tag.
 inline int coll_tag(std::uint64_t seq, int step) {
     return static_cast<int>(((seq & 0x3FFFFu) << 10) | static_cast<unsigned>(step & 0x3FF));

@@ -8,11 +8,17 @@
 /// *persistent* (MPI_*_init restarted kPersistRounds times through one
 /// request, with fresh input contents every round — catching stale-scratch
 /// and missing-re-snapshot bugs). Commutative and non-commutative reductions
-/// included. Failures log the seed; replay with XMPI_TEST_SEED.
+/// included. The fixed-shape families (barrier, gather(v), scatter(v),
+/// allgatherv, alltoallv/w, scan/exscan) are compared flavor against flavor
+/// and against closed-form oracles on ragged count vectors. Failures log the
+/// seed; replay with XMPI_TEST_SEED.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "../testing_utils.hpp"
@@ -559,6 +565,501 @@ TEST(Algorithms, AllreduceInPlaceEquivalentAcrossAlgorithms) {
                     << "alg=" << alg << " mode=" << mode_name(mode) << " p=" << p
                     << " count=" << count;
             }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Fixed-shape families: barrier, gather(v), scatter(v), allgatherv,
+// alltoallv/w and scan/exscan. One builder serves every flavor of a family,
+// so the blocking, nonblocking and persistent (where *_init exists) calls
+// must be byte-identical, and the blocking call must match a closed-form
+// oracle. Count vectors are ragged: zero counts, gaps between blocks and
+// blocks laid out in reverse rank order.
+// ---------------------------------------------------------------------------
+
+namespace {
+
+Exec const kNoInitModes[] = {Exec::block, Exec::nb};
+
+constexpr int kPoison = -7777;
+
+/// Element i of rank r's input in the round salted `salt`.
+int value(unsigned salt, int r, int i) {
+    return static_cast<int>(salt % 100000u) + 1000 * r + i;
+}
+
+/// Drives one rank's part of a case in `mode`. `fill(s)` writes the inputs
+/// of round s and poisons the outputs, `call(mode, &req)` makes the call
+/// (the blocking call ignores req), `result()` is the rank's observable
+/// output. The persistent flavor restarts one request kPersistRounds times
+/// with fresh inputs and appends every round's output.
+template <typename T, typename Fill, typename Call, typename Result>
+void run_rank(Exec mode, unsigned salt, std::vector<T>& out, Fill fill, Call call,
+              Result result) {
+    MPI_Request req = MPI_REQUEST_NULL;
+    if (mode == Exec::persist) {
+        fill(salt);
+        ASSERT_EQ(call(mode, &req), MPI_SUCCESS);
+        for (int k = 0; k < kPersistRounds; ++k) {
+            fill(salt + static_cast<unsigned>(k));
+            ASSERT_EQ(MPI_Start(&req), MPI_SUCCESS);
+            ASSERT_EQ(MPI_Wait(&req, MPI_STATUS_IGNORE), MPI_SUCCESS);
+            auto const round = result();
+            out.insert(out.end(), round.begin(), round.end());
+        }
+        ASSERT_EQ(MPI_Request_free(&req), MPI_SUCCESS);
+        return;
+    }
+    fill(salt);
+    ASSERT_EQ(call(mode, &req), MPI_SUCCESS);
+    if (mode == Exec::nb) drive(req);
+    out = result();
+}
+
+/// One block per rank inside a buffer of `size` elements.
+struct Layout {
+    std::vector<int> counts;
+    std::vector<int> displs;
+    int size = 0;
+};
+
+std::vector<int> ragged_counts(SeededRng& rng, int n) {
+    std::vector<int> counts(static_cast<std::size_t>(n));
+    for (int& c : counts) c = rng.uniform(0, 2) == 0 ? 0 : rng.uniform(1, 4);
+    return counts;
+}
+
+/// Blocks in reverse rank order with random gaps before, between and after.
+Layout ragged_layout(SeededRng& rng, std::vector<int> counts) {
+    Layout l{std::move(counts), {}, 0};
+    l.displs.resize(l.counts.size());
+    for (std::size_t i = l.counts.size(); i-- > 0;) {
+        l.size += rng.uniform(0, 2);
+        l.displs[i] = l.size;
+        l.size += l.counts[i];
+    }
+    l.size += rng.uniform(0, 1);
+    return l;
+}
+
+Layout uniform_layout(int p, int count) {
+    Layout l{std::vector<int>(static_cast<std::size_t>(p), count), {}, p * count};
+    for (int i = 0; i < p; ++i) l.displs.push_back(i * count);
+    return l;
+}
+
+std::size_t at(int i) { return static_cast<std::size_t>(i); }
+
+/// Gather (uniform layout, MPI_Gather*) or gatherv (MPI_Gatherv*) to
+/// `root`; with `in_place` the root's block is already in its receive
+/// buffer. Only the root has an output.
+PerRank<int> gather_case(int p, int root, Layout const& l, bool uniform, bool in_place, Exec mode,
+                         unsigned salt) {
+    PerRank<int> out(at(p));
+    xmpi::run(p, [&](int r) {
+        std::vector<int> send(at(l.counts[at(r)]));
+        std::vector<int> recv(r == root ? at(l.size) : 0);
+        bool const own_in_place = in_place && r == root;
+        auto fill = [&](unsigned s) {
+            std::fill(recv.begin(), recv.end(), kPoison);
+            for (int i = 0; i < l.counts[at(r)]; ++i) {
+                (own_in_place ? recv[at(l.displs[at(r)] + i)] : send[at(i)]) = value(s, r, i);
+            }
+        };
+        auto call = [&](Exec m, MPI_Request* q) {
+            void const* const sb = own_in_place ? MPI_IN_PLACE : send.data();
+            int const sc = l.counts[at(r)];
+            int const c = l.counts[0];
+            int const* const rc = l.counts.data();
+            int const* const rd = l.displs.data();
+            if (uniform) {
+                return m == Exec::block
+                           ? MPI_Gather(sb, sc, MPI_INT, recv.data(), c, MPI_INT, root,
+                                        MPI_COMM_WORLD)
+                       : m == Exec::nb
+                           ? MPI_Igather(sb, sc, MPI_INT, recv.data(), c, MPI_INT, root,
+                                         MPI_COMM_WORLD, q)
+                           : MPI_Gather_init(sb, sc, MPI_INT, recv.data(), c, MPI_INT, root,
+                                             MPI_COMM_WORLD, MPI_INFO_NULL, q);
+            }
+            return m == Exec::block
+                       ? MPI_Gatherv(sb, sc, MPI_INT, recv.data(), rc, rd, MPI_INT, root,
+                                     MPI_COMM_WORLD)
+                   : m == Exec::nb
+                       ? MPI_Igatherv(sb, sc, MPI_INT, recv.data(), rc, rd, MPI_INT, root,
+                                      MPI_COMM_WORLD, q)
+                       : MPI_Gatherv_init(sb, sc, MPI_INT, recv.data(), rc, rd, MPI_INT, root,
+                                          MPI_COMM_WORLD, MPI_INFO_NULL, q);
+        };
+        run_rank(mode, salt, out[at(r)], fill, call, [&] { return recv; });
+    });
+    return out;
+}
+
+/// Scatter / scatterv from `root`; with `in_place` the root keeps its block
+/// in the send buffer and has no output.
+PerRank<int> scatter_case(int p, int root, Layout const& l, bool uniform, bool in_place, Exec mode,
+                          unsigned salt) {
+    PerRank<int> out(at(p));
+    xmpi::run(p, [&](int r) {
+        std::vector<int> send(r == root ? at(l.size) : 0);
+        bool const own_in_place = in_place && r == root;
+        std::vector<int> recv(own_in_place ? 0 : at(l.counts[at(r)]));
+        auto fill = [&](unsigned s) {
+            for (int i = 0; i < static_cast<int>(send.size()); ++i) send[at(i)] = value(s, r, i);
+            std::fill(recv.begin(), recv.end(), kPoison);
+        };
+        auto call = [&](Exec m, MPI_Request* q) {
+            void* const rb = own_in_place ? MPI_IN_PLACE : recv.data();
+            int const rcount = l.counts[at(r)];
+            int const c = l.counts[0];
+            int const* const sc = l.counts.data();
+            int const* const sd = l.displs.data();
+            if (uniform) {
+                return m == Exec::block
+                           ? MPI_Scatter(send.data(), c, MPI_INT, rb, rcount, MPI_INT, root,
+                                         MPI_COMM_WORLD)
+                       : m == Exec::nb
+                           ? MPI_Iscatter(send.data(), c, MPI_INT, rb, rcount, MPI_INT, root,
+                                          MPI_COMM_WORLD, q)
+                           : MPI_Scatter_init(send.data(), c, MPI_INT, rb, rcount, MPI_INT, root,
+                                              MPI_COMM_WORLD, MPI_INFO_NULL, q);
+            }
+            return m == Exec::block
+                       ? MPI_Scatterv(send.data(), sc, sd, MPI_INT, rb, rcount, MPI_INT, root,
+                                      MPI_COMM_WORLD)
+                   : m == Exec::nb
+                       ? MPI_Iscatterv(send.data(), sc, sd, MPI_INT, rb, rcount, MPI_INT, root,
+                                       MPI_COMM_WORLD, q)
+                       : MPI_Scatterv_init(send.data(), sc, sd, MPI_INT, rb, rcount, MPI_INT,
+                                           root, MPI_COMM_WORLD, MPI_INFO_NULL, q);
+        };
+        run_rank(mode, salt, out[at(r)], fill, call, [&] { return recv; });
+    });
+    return out;
+}
+
+/// Allgatherv over one shared layout; with `in_place` every rank's own
+/// block is already in its receive buffer.
+PerRank<int> allgatherv_case(int p, Layout const& l, bool in_place, Exec mode, unsigned salt) {
+    PerRank<int> out(at(p));
+    xmpi::run(p, [&](int r) {
+        std::vector<int> send(at(l.counts[at(r)]));
+        std::vector<int> recv(at(l.size));
+        auto fill = [&](unsigned s) {
+            std::fill(recv.begin(), recv.end(), kPoison);
+            for (int i = 0; i < l.counts[at(r)]; ++i)
+                (in_place ? recv[at(l.displs[at(r)] + i)] : send[at(i)]) = value(s, r, i);
+        };
+        auto call = [&](Exec m, MPI_Request* q) {
+            void const* const sb = in_place ? MPI_IN_PLACE : send.data();
+            int const sc = l.counts[at(r)];
+            return m == Exec::block
+                       ? MPI_Allgatherv(sb, sc, MPI_INT, recv.data(), l.counts.data(),
+                                        l.displs.data(), MPI_INT, MPI_COMM_WORLD)
+                       : MPI_Iallgatherv(sb, sc, MPI_INT, recv.data(), l.counts.data(),
+                                         l.displs.data(), MPI_INT, MPI_COMM_WORLD, q);
+        };
+        run_rank(mode, salt, out[at(r)], fill, call, [&] { return recv; });
+    });
+    return out;
+}
+
+/// Alltoallv (or, with `typed`, alltoallw with byte displacements and
+/// per-peer types) where rank r sends counts[r][j] elements to rank j,
+/// from send layout `sl[r]` into receive layout `rl[j]`.
+PerRank<int> alltoallv_case(int p, std::vector<Layout> const& sl, std::vector<Layout> const& rl,
+                            bool typed, Exec mode, unsigned salt) {
+    PerRank<int> out(at(p));
+    xmpi::run(p, [&](int r) {
+        Layout const& s_l = sl[at(r)];
+        Layout const& r_l = rl[at(r)];
+        std::vector<int> send(at(s_l.size));
+        std::vector<int> recv(at(r_l.size));
+        auto fill = [&](unsigned s) {
+            for (int i = 0; i < s_l.size; ++i) send[at(i)] = value(s, r, i);
+            std::fill(recv.begin(), recv.end(), kPoison);
+        };
+        auto bytes = [](std::vector<int> v) {
+            for (int& d : v) d *= static_cast<int>(sizeof(int));
+            return v;
+        };
+        std::vector<int> const sbytes = bytes(s_l.displs), rbytes = bytes(r_l.displs);
+        std::vector<MPI_Datatype> const types(at(p), MPI_INT);
+        auto call = [&](Exec m, MPI_Request* q) {
+            if (typed) {
+                return MPI_Alltoallw(send.data(), s_l.counts.data(), sbytes.data(), types.data(),
+                                     recv.data(), r_l.counts.data(), rbytes.data(), types.data(),
+                                     MPI_COMM_WORLD);
+            }
+            return m == Exec::block
+                       ? MPI_Alltoallv(send.data(), s_l.counts.data(), s_l.displs.data(), MPI_INT,
+                                       recv.data(), r_l.counts.data(), r_l.displs.data(), MPI_INT,
+                                       MPI_COMM_WORLD)
+                       : MPI_Ialltoallv(send.data(), s_l.counts.data(), s_l.displs.data(),
+                                        MPI_INT, recv.data(), r_l.counts.data(),
+                                        r_l.displs.data(), MPI_INT, MPI_COMM_WORLD, q);
+        };
+        run_rank(mode, salt, out[at(r)], fill, call, [&] { return recv; });
+    });
+    return out;
+}
+
+/// Rank r's scan input in the round salted `s`: the value() ramp (sum), an
+/// upper triangular 2x2 matrix per four elements (matmul, non-commutative),
+/// or the doubles 1e16, 1, -1e16, 1, ... whose sum depends on the
+/// bracketing (T = double).
+template <typename T>
+std::vector<T> scan_input(Red red, unsigned s, int r, int count) {
+    std::vector<T> in(at(count));
+    for (int i = 0; i < count; ++i) {
+        int const pos = i % 4;
+        if (red == Red::matmul) {
+            int const bit = (r + i + static_cast<int>(s % 2u)) % 2;
+            in[at(i)] = static_cast<T>(pos == 0 ? r % 3 + 1 : pos == 3 ? 1 : pos == 1 ? bit : 0);
+        } else if constexpr (std::is_floating_point_v<T>) {
+            int const q = (r + i + static_cast<int>(s % 4u)) % 4;
+            in[at(i)] = q == 0 ? 1e16 : q == 2 ? -1e16 : 1.0;
+        } else {
+            in[at(i)] = static_cast<T>(value(s, r, i));
+        }
+    }
+    return in;
+}
+
+/// Inclusive or exclusive scan of `count` elements of scan_input(); rank
+/// 0's exscan output is left out (undefined by the standard).
+template <typename T>
+PerRank<T> scan_case(int p, int count, MPI_Datatype dt, Red red, bool exclusive, bool in_place,
+                     Exec mode, unsigned salt) {
+    PerRank<T> out(at(p));
+    xmpi::run(p, [&](int r) {
+        MPI_Op op = MPI_SUM;
+        if (red == Red::matmul) {
+            ASSERT_EQ(MPI_Op_create(&matmul_op, 0, &op), MPI_SUCCESS);
+        }
+        std::vector<T> send(at(count));
+        std::vector<T> recv(at(count));
+        auto fill = [&](unsigned s) {
+            std::fill(recv.begin(), recv.end(), static_cast<T>(kPoison));
+            auto const in = scan_input<T>(red, s, r, count);
+            std::copy(in.begin(), in.end(), (in_place ? recv : send).begin());
+        };
+        auto call = [&](Exec m, MPI_Request* q) {
+            void const* const sb = in_place ? MPI_IN_PLACE : send.data();
+            if (exclusive) {
+                return m == Exec::block
+                           ? MPI_Exscan(sb, recv.data(), count, dt, op, MPI_COMM_WORLD)
+                           : MPI_Iexscan(sb, recv.data(), count, dt, op, MPI_COMM_WORLD, q);
+            }
+            return m == Exec::block ? MPI_Scan(sb, recv.data(), count, dt, op, MPI_COMM_WORLD)
+                                    : MPI_Iscan(sb, recv.data(), count, dt, op, MPI_COMM_WORLD, q);
+        };
+        run_rank(mode, salt, out[at(r)], fill, call,
+                 [&] { return exclusive && r == 0 ? std::vector<T>{} : recv; });
+        if (red == Red::matmul) MPI_Op_free(&op);
+    });
+    return out;
+}
+
+/// Scan oracle: the Hillis–Steele bracketing over every rank's scan_input()
+/// — in round k, prefix[r] = prefix[r - 2^k] (+) prefix[r] — which is the
+/// library's, and for floating point decides the result bits.
+template <typename T>
+PerRank<T> scan_oracle(int p, int count, Red red, bool exclusive, unsigned salt) {
+    PerRank<T> v;
+    for (int r = 0; r < p; ++r) v.push_back(scan_input<T>(red, salt, r, count));
+    for (int dist = 1; dist < p; dist *= 2) {
+        for (int r = p - 1; r >= dist; --r) {
+            std::vector<T> const& left = v[at(r - dist)];
+            std::vector<T>& right = v[at(r)];
+            if constexpr (std::is_same_v<T, long long>) {
+                for (int i = 0; red == Red::matmul && i + 3 < count; i += 4) {
+                    long long c[4];
+                    matmul2(&left[at(i)], &right[at(i)], c);
+                    std::copy_n(c, 4, &right[at(i)]);
+                }
+            }
+            for (int i = 0; red != Red::matmul && i < count; ++i) right[at(i)] += left[at(i)];
+        }
+    }
+    if (exclusive) {
+        for (int r = p - 1; r > 0; --r) v[at(r)] = v[at(r - 1)];
+        v[0].clear();
+    }
+    return v;
+}
+
+/// Barrier: per round, whether every rank had entered when this rank left
+/// (1 or 0) and the virtual time it left at. With compute_scale = 0 the
+/// vtime depends on the message pattern only, so it must not change with
+/// the flavor either.
+PerRank<double> barrier_case(int p, Exec mode, unsigned salt) {
+    PerRank<double> out(at(p));
+    std::vector<std::atomic<unsigned>> entered(at(p));
+    xmpi::Config cfg;
+    cfg.compute_scale = 0;
+    xmpi::run(
+        p,
+        [&](int r) {
+            unsigned round = 0;
+            auto fill = [&](unsigned s) {
+                round = s;
+                entered[at(r)].store(s);
+            };
+            auto call = [&](Exec m, MPI_Request* q) {
+                return m == Exec::block ? MPI_Barrier(MPI_COMM_WORLD)
+                       : m == Exec::nb  ? MPI_Ibarrier(MPI_COMM_WORLD, q)
+                                        : MPI_Barrier_init(MPI_COMM_WORLD, MPI_INFO_NULL, q);
+            };
+            run_rank(mode, salt, out[at(r)], fill, call, [&] {
+                bool all = true;
+                for (auto const& e : entered) all = all && e.load() >= round;
+                return std::vector<double>{all ? 1.0 : 0.0, xmpi::vtime_now()};
+            });
+        },
+        cfg);
+    return out;
+}
+
+/// Checks blocking == oracle, and nonblocking / persistent == blocking, for
+/// one case; `run(mode, salt)` returns every rank's output.
+template <typename T, typename Run, std::size_t N>
+void expect_flavors_identical(Exec const (&modes)[N], PerRank<T> const& oracle, Run run,
+                              unsigned salt, std::string const& what) {
+    auto const ref = run(Exec::block, salt);
+    EXPECT_EQ(ref, oracle) << what << " blocking vs oracle";
+    for (Exec mode : modes) {
+        if (mode == Exec::block) continue;
+        auto const expect =
+            mode == Exec::persist
+                ? persist_ref<T>([&](unsigned s) { return run(Exec::block, s); }, salt)
+                : ref;
+        EXPECT_EQ(run(mode, salt), expect) << what << " mode=" << mode_name(mode);
+    }
+}
+
+}  // namespace
+
+TEST(Algorithms, BarrierFlavorsIdentical) {
+    for (int const p : kSizes) {
+        PerRank<double> const ref = barrier_case(p, Exec::block, 1);
+        for (auto const& rank : ref) EXPECT_EQ(rank[0], 1.0) << "p=" << p;
+        EXPECT_EQ(barrier_case(p, Exec::nb, 1), ref) << "p=" << p;
+        PerRank<double> const restarted = barrier_case(p, Exec::persist, 1);
+        for (auto const& rank : restarted) {
+            ASSERT_EQ(rank.size(), 2u * kPersistRounds) << "p=" << p;
+            for (int k = 0; k < kPersistRounds; ++k) EXPECT_EQ(rank[2 * at(k)], 1.0) << "p=" << p;
+            EXPECT_EQ(rank[1], ref[at(&rank - restarted.data())][1]) << "p=" << p;
+        }
+    }
+}
+
+TEST(Algorithms, GatherScatterFlavorsByteIdentical) {
+    SeededRng rng;
+    for (int trial = 0; trial < 8; ++trial) {
+        int const p = rng.pick(kSizes);
+        int const root = rng.uniform(0, p - 1);
+        bool const uniform = trial % 2 == 0;
+        bool const in_place = trial % 4 >= 2;
+        Layout const l = uniform ? uniform_layout(p, rng.pick(kCounts))
+                                 : ragged_layout(rng, ragged_counts(rng, p));
+        auto const salt = static_cast<unsigned>(rng.uniform(1, 1 << 20));
+        std::string const what = std::string(uniform ? "uniform" : "ragged") +
+                                 (in_place ? " in-place" : "") + " p=" + std::to_string(p) +
+                                 " root=" + std::to_string(root);
+
+        PerRank<int> gathered(at(p));
+        gathered[at(root)].assign(at(l.size), kPoison);
+        for (int i = 0; i < p; ++i)
+            for (int e = 0; e < l.counts[at(i)]; ++e)
+                gathered[at(root)][at(l.displs[at(i)] + e)] = value(salt, i, e);
+        expect_flavors_identical(
+            kExecModes, gathered,
+            [&](Exec m, unsigned s) { return gather_case(p, root, l, uniform, in_place, m, s); },
+            salt, "gather " + what);
+
+        PerRank<int> scattered(at(p));
+        for (int i = 0; i < p; ++i) {
+            if (in_place && i == root) continue;
+            for (int e = 0; e < l.counts[at(i)]; ++e)
+                scattered[at(i)].push_back(value(salt, root, l.displs[at(i)] + e));
+        }
+        expect_flavors_identical(
+            kExecModes, scattered,
+            [&](Exec m, unsigned s) { return scatter_case(p, root, l, uniform, in_place, m, s); },
+            salt, "scatter " + what);
+    }
+}
+
+TEST(Algorithms, AllgathervAlltoallvFlavorsByteIdentical) {
+    SeededRng rng;
+    for (int trial = 0; trial < 6; ++trial) {
+        int const p = rng.pick(kSizes);
+        bool const in_place = trial % 2 == 1;
+        auto const salt = static_cast<unsigned>(rng.uniform(1, 1 << 20));
+        std::string const what = "p=" + std::to_string(p);
+
+        Layout const l = ragged_layout(rng, ragged_counts(rng, p));
+        PerRank<int> gathered(at(p), std::vector<int>(at(l.size), kPoison));
+        for (int r = 0; r < p; ++r)
+            for (int i = 0; i < p; ++i)
+                for (int e = 0; e < l.counts[at(i)]; ++e)
+                    gathered[at(r)][at(l.displs[at(i)] + e)] = value(salt, i, e);
+        expect_flavors_identical(
+            kNoInitModes, gathered,
+            [&](Exec m, unsigned s) { return allgatherv_case(p, l, in_place, m, s); }, salt,
+            std::string("allgatherv") + (in_place ? " in-place " : " ") + what);
+
+        // counts[r][j]: elements rank r sends to rank j.
+        std::vector<std::vector<int>> counts;
+        for (int r = 0; r < p; ++r) counts.push_back(ragged_counts(rng, p));
+        std::vector<Layout> sl, rl;
+        for (int r = 0; r < p; ++r) {
+            std::vector<int> from(at(p));
+            for (int j = 0; j < p; ++j) from[at(j)] = counts[at(j)][at(r)];
+            sl.push_back(ragged_layout(rng, counts[at(r)]));
+            rl.push_back(ragged_layout(rng, std::move(from)));
+        }
+        PerRank<int> exchanged(at(p));
+        for (int r = 0; r < p; ++r) {
+            exchanged[at(r)].assign(at(rl[at(r)].size), kPoison);
+            for (int j = 0; j < p; ++j)
+                for (int e = 0; e < counts[at(j)][at(r)]; ++e)
+                    exchanged[at(r)][at(rl[at(r)].displs[at(j)] + e)] =
+                        value(salt, j, sl[at(j)].displs[at(r)] + e);
+        }
+        expect_flavors_identical(
+            kNoInitModes, exchanged,
+            [&](Exec m, unsigned s) { return alltoallv_case(p, sl, rl, false, m, s); }, salt,
+            "alltoallv " + what);
+        EXPECT_EQ(alltoallv_case(p, sl, rl, true, Exec::block, salt), exchanged)
+            << "alltoallw " << what;
+    }
+}
+
+TEST(Algorithms, ScanExscanFlavorsByteIdentical) {
+    SeededRng rng;
+    for (int trial = 0; trial < 6; ++trial) {
+        int const p = rng.pick(kSizes);
+        bool const in_place = trial % 2 == 1;
+        auto const salt = static_cast<unsigned>(rng.uniform(1, 1 << 20));
+        for (bool const exclusive : {false, true}) {
+            std::string const what = std::string(exclusive ? "exscan" : "scan") +
+                                     (in_place ? " in-place" : "") + " p=" + std::to_string(p);
+            auto check = [&](auto tag, MPI_Datatype dt, Red red, int count, char const* name) {
+                using T = decltype(tag);
+                expect_flavors_identical(
+                    kNoInitModes, scan_oracle<T>(p, count, red, exclusive, salt),
+                    [&](Exec m, unsigned s) {
+                        return scan_case<T>(p, count, dt, red, exclusive, in_place, m, s);
+                    },
+                    salt, what + " " + name + " count=" + std::to_string(count));
+            };
+            check(0, MPI_INT, Red::sum, rng.pick(kCounts), "int sum");
+            check(0.0, MPI_DOUBLE, Red::sum, rng.pick(kCounts), "double sum");
+            check(0LL, MPI_INT64_T, Red::matmul, rng.pick(kMatmulCounts), "matmul");
         }
     }
 }

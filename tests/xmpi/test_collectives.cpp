@@ -661,6 +661,36 @@ TEST_P(CollectiveP, IscanAndIexscanMatchOracle) {
     });
 }
 
+// Blocking and nonblocking scans share one schedule, so they bracket the
+// additions identically and give the same floating-point result. With the
+// inputs {1e16, 1, -1e16, 1}, rank 3 gets (1e16 + 1) + (-1e16 + 1) = 0 under
+// the Hillis–Steele bracketing, but ((1e16 + 1) + -1e16) + 1 = 1 under a
+// left fold, because 1e16 + 1 rounds back to 1e16.
+TEST(Collective, ScanAndIscanAgreeInFloatingPoint) {
+    xmpi::run(4, [](int rank) {
+        double const in[] = {1e16, 1.0, -1e16, 1.0};
+        double const mine = in[rank];
+        double scanned = -1, iscanned = -1, exscanned = -1, iexscanned = -1;
+        ASSERT_EQ(MPI_Scan(&mine, &scanned, 1, MPI_DOUBLE, MPI_SUM, MPI_COMM_WORLD), MPI_SUCCESS);
+        ASSERT_EQ(MPI_Exscan(&mine, &exscanned, 1, MPI_DOUBLE, MPI_SUM, MPI_COMM_WORLD),
+                  MPI_SUCCESS);
+        MPI_Request reqs[2];
+        ASSERT_EQ(MPI_Iscan(&mine, &iscanned, 1, MPI_DOUBLE, MPI_SUM, MPI_COMM_WORLD, &reqs[0]),
+                  MPI_SUCCESS);
+        ASSERT_EQ(
+            MPI_Iexscan(&mine, &iexscanned, 1, MPI_DOUBLE, MPI_SUM, MPI_COMM_WORLD, &reqs[1]),
+            MPI_SUCCESS);
+        ASSERT_EQ(MPI_Waitall(2, reqs, MPI_STATUSES_IGNORE), MPI_SUCCESS);
+        EXPECT_EQ(iscanned, scanned) << "rank " << rank;
+        if (rank > 0) {
+            EXPECT_EQ(iexscanned, exscanned) << "rank " << rank;
+        }
+        if (rank == 3) {
+            EXPECT_EQ(scanned, (in[0] + in[1]) + (in[2] + in[3]));
+        }
+    });
+}
+
 TEST_P(CollectiveP, NonblockingCollectivesCompleteOutOfOrder) {
     int const p = GetParam();
     xmpi::run(p, [p](int rank) {

@@ -39,6 +39,55 @@ TEST(EdgeCases, ZeroCountCollectives) {
     });
 }
 
+// An out-of-range root is rejected with MPI_ERR_ROOT by every flavor of the
+// rooted gather/scatter family, before any rank reads the root's group entry
+// or communicates.
+TEST(EdgeCases, InvalidRootRejectedByEveryGatherScatterFlavor) {
+    xmpi::run(2, [](int) {
+        std::vector<int> send(2, 1), recv(4, 0);
+        int const counts[] = {2, 2};
+        int const displs[] = {0, 2};
+        for (int const root : {7, 2, -1}) {
+            MPI_Request req = MPI_REQUEST_NULL;
+            auto const s = send.data();
+            auto const r = recv.data();
+            EXPECT_EQ(MPI_Gather(s, 2, MPI_INT, r, 2, MPI_INT, root, MPI_COMM_WORLD), MPI_ERR_ROOT);
+            EXPECT_EQ(MPI_Gatherv(s, 2, MPI_INT, r, counts, displs, MPI_INT, root, MPI_COMM_WORLD),
+                      MPI_ERR_ROOT);
+            EXPECT_EQ(MPI_Scatter(s, 2, MPI_INT, r, 2, MPI_INT, root, MPI_COMM_WORLD),
+                      MPI_ERR_ROOT);
+            EXPECT_EQ(MPI_Scatterv(s, counts, displs, MPI_INT, r, 2, MPI_INT, root, MPI_COMM_WORLD),
+                      MPI_ERR_ROOT);
+            EXPECT_EQ(MPI_Igather(s, 2, MPI_INT, r, 2, MPI_INT, root, MPI_COMM_WORLD, &req),
+                      MPI_ERR_ROOT);
+            EXPECT_EQ(MPI_Igatherv(s, 2, MPI_INT, r, counts, displs, MPI_INT, root,
+                                   MPI_COMM_WORLD, &req),
+                      MPI_ERR_ROOT);
+            EXPECT_EQ(MPI_Iscatter(s, 2, MPI_INT, r, 2, MPI_INT, root, MPI_COMM_WORLD, &req),
+                      MPI_ERR_ROOT);
+            EXPECT_EQ(MPI_Iscatterv(s, counts, displs, MPI_INT, r, 2, MPI_INT, root,
+                                    MPI_COMM_WORLD, &req),
+                      MPI_ERR_ROOT);
+            EXPECT_EQ(MPI_Gather_init(s, 2, MPI_INT, r, 2, MPI_INT, root, MPI_COMM_WORLD,
+                                      MPI_INFO_NULL, &req),
+                      MPI_ERR_ROOT);
+            EXPECT_EQ(MPI_Gatherv_init(s, 2, MPI_INT, r, counts, displs, MPI_INT, root,
+                                       MPI_COMM_WORLD, MPI_INFO_NULL, &req),
+                      MPI_ERR_ROOT);
+            EXPECT_EQ(MPI_Scatter_init(s, 2, MPI_INT, r, 2, MPI_INT, root, MPI_COMM_WORLD,
+                                       MPI_INFO_NULL, &req),
+                      MPI_ERR_ROOT);
+            EXPECT_EQ(MPI_Scatterv_init(s, counts, displs, MPI_INT, r, 2, MPI_INT, root,
+                                        MPI_COMM_WORLD, MPI_INFO_NULL, &req),
+                      MPI_ERR_ROOT);
+            EXPECT_EQ(req, MPI_REQUEST_NULL);
+        }
+        // The communicator is still usable afterwards.
+        EXPECT_EQ(MPI_Gather(send.data(), 2, MPI_INT, recv.data(), 2, MPI_INT, 0, MPI_COMM_WORLD),
+                  MPI_SUCCESS);
+    });
+}
+
 TEST(EdgeCases, NestedDerivedTypes) {
     // vector of contiguous of int: every second pair from a 2-column matrix.
     xmpi::run(2, [](int rank) {

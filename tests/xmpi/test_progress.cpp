@@ -210,23 +210,25 @@ TEST(Progress, OffloadedScheduleCompletesWithoutAppProgress) {
 namespace {
 
 /// Deterministic mixed workload (blocking + nonblocking + persistent with
-/// restart); returns every rank's observable output concatenated, for
-/// byte-identity comparison between progress on and off.
+/// restart, including the fixed-shape v-collectives and scan); returns every
+/// rank's observable output concatenated, for byte-identity comparison
+/// between progress on and off.
 std::vector<std::int64_t> mixed_workload(int progress_on, int ranks, bool shm_on) {
     ProgressPin pin(progress_on);
     ShmPin shm(shm_on ? 1 : 0);
-    std::vector<std::int64_t> result(
-        static_cast<std::size_t>(ranks) * (kBigCount + 8 + static_cast<std::size_t>(ranks)), -1);
+    std::vector<std::vector<std::int64_t>> outputs(static_cast<std::size_t>(ranks));
     xmpi::run(ranks, [&](int rank) {
-        auto* slot = result.data() +
-                     static_cast<std::size_t>(rank) * (kBigCount + 8 + static_cast<std::size_t>(ranks));
+        auto& out = outputs[static_cast<std::size_t>(rank)];
+        auto keep = [&out](std::vector<std::int64_t> const& v) {
+            out.insert(out.end(), v.begin(), v.end());
+        };
         // Blocking allreduce (stays schedule-backed, possibly offloaded).
         std::vector<std::int64_t> v(kBigCount), sum(kBigCount, 0);
         for (int i = 0; i < kBigCount; ++i) v[static_cast<std::size_t>(i)] = (rank + 1) * (i + 1);
         ASSERT_EQ(MPI_Allreduce(v.data(), sum.data(), kBigCount, MPI_INT64_T, MPI_SUM,
                                 MPI_COMM_WORLD),
                   MPI_SUCCESS);
-        std::memcpy(slot, sum.data(), sizeof(std::int64_t) * kBigCount);
+        keep(sum);
         // Nonblocking bcast + small allreduce in flight together.
         std::vector<std::int64_t> b(8);
         if (rank == 0)
@@ -239,7 +241,7 @@ std::vector<std::int64_t> mixed_workload(int progress_on, int ranks, bool shm_on
                                  &reqs[1]),
                   MPI_SUCCESS);
         ASSERT_EQ(MPI_Waitall(2, reqs, MPI_STATUSES_IGNORE), MPI_SUCCESS);
-        std::memcpy(slot + kBigCount, b.data(), sizeof(std::int64_t) * 8);
+        keep(b);
         EXPECT_EQ(small_out, ranks);
         // Persistent allgather restarted with fresh inputs each round.
         std::int64_t mine = 0;
@@ -254,9 +256,60 @@ std::vector<std::int64_t> mixed_workload(int progress_on, int ranks, bool shm_on
             ASSERT_EQ(MPI_Wait(&preq, MPI_STATUS_IGNORE), MPI_SUCCESS);
         }
         ASSERT_EQ(MPI_Request_free(&preq), MPI_SUCCESS);
-        std::memcpy(slot + kBigCount + 8, gathered.data(),
-                    sizeof(std::int64_t) * static_cast<std::size_t>(ranks));
+        keep(gathered);
+        // Fixed-shape nonblocking collectives in flight together, with
+        // ragged blocks of 1-3 KiElems (some clear the default offload
+        // gate, some stay on the wait-side path): allgatherv, alltoallv,
+        // gatherv to the last rank, and an inclusive scan.
+        auto block = [](int r) { return 1024 * (r % 3 + 1); };
+        std::vector<int> counts, displs;
+        for (int r = 0, at = 0; r < ranks; at += block(r++)) {
+            counts.push_back(block(r));
+            displs.push_back(at);
+        }
+        int const total = displs.back() + counts.back();
+        std::vector<std::int64_t> own(static_cast<std::size_t>(block(rank)));
+        std::iota(own.begin(), own.end(), 7 * rank);
+        std::vector<std::int64_t> allv(static_cast<std::size_t>(total), -1);
+        std::vector<std::int64_t> gathv(static_cast<std::size_t>(total), -1);
+        // Alltoallv: rank r sends block(r + j) elements to rank j.
+        std::vector<int> scounts, sdispls, rcounts, rdispls;
+        for (int j = 0, sat = 0, rat = 0; j < ranks; ++j) {
+            scounts.push_back(block(rank + j));
+            sdispls.push_back(sat);
+            sat += scounts.back();
+            rcounts.push_back(block(j + rank));
+            rdispls.push_back(rat);
+            rat += rcounts.back();
+        }
+        std::vector<std::int64_t> a2a_in(static_cast<std::size_t>(sdispls.back() + scounts.back()));
+        std::iota(a2a_in.begin(), a2a_in.end(), 100000 * rank);
+        std::vector<std::int64_t> a2a_out(static_cast<std::size_t>(rdispls.back() + rcounts.back()),
+                                          -1);
+        std::vector<std::int64_t> scanned(v.size(), -1);
+        MPI_Request vreqs[4];
+        ASSERT_EQ(MPI_Iallgatherv(own.data(), block(rank), MPI_INT64_T, allv.data(), counts.data(),
+                                  displs.data(), MPI_INT64_T, MPI_COMM_WORLD, &vreqs[0]),
+                  MPI_SUCCESS);
+        ASSERT_EQ(MPI_Ialltoallv(a2a_in.data(), scounts.data(), sdispls.data(), MPI_INT64_T,
+                                 a2a_out.data(), rcounts.data(), rdispls.data(), MPI_INT64_T,
+                                 MPI_COMM_WORLD, &vreqs[1]),
+                  MPI_SUCCESS);
+        ASSERT_EQ(MPI_Igatherv(own.data(), block(rank), MPI_INT64_T, gathv.data(), counts.data(),
+                               displs.data(), MPI_INT64_T, ranks - 1, MPI_COMM_WORLD, &vreqs[2]),
+                  MPI_SUCCESS);
+        ASSERT_EQ(MPI_Iscan(v.data(), scanned.data(), kBigCount, MPI_INT64_T, MPI_SUM,
+                            MPI_COMM_WORLD, &vreqs[3]),
+                  MPI_SUCCESS);
+        ASSERT_EQ(MPI_Waitall(4, vreqs, MPI_STATUSES_IGNORE), MPI_SUCCESS);
+        EXPECT_EQ(allv[static_cast<std::size_t>(displs.back())], 7 * (ranks - 1));
+        keep(allv);
+        keep(a2a_out);
+        keep(gathv);
+        keep(scanned);
     });
+    std::vector<std::int64_t> result;
+    for (auto const& o : outputs) result.insert(result.end(), o.begin(), o.end());
     return result;
 }
 
