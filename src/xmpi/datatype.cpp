@@ -28,6 +28,8 @@ bool is_flat(DatatypeImpl const& t) {
 
 }  // namespace
 
+bool DatatypeImpl::flat() const { return is_flat(*this); }
+
 void DatatypeImpl::pack(void const* src, int n, std::byte* dst) const {
     auto const* s = static_cast<std::byte const*>(src);
     if (is_flat(*this)) {

@@ -5,6 +5,7 @@
 #pragma once
 
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <cstring>
@@ -13,6 +14,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <thread>
 #include <vector>
 
 #include "topo/topo.hpp"
@@ -68,6 +70,9 @@ struct DatatypeImpl {
     void pack(void const* src, int n, std::byte* dst) const;
     /// Unpacks `n` elements from contiguous bytes at `src` into `dst`.
     void unpack(std::byte const* src, int n, void* dst) const;
+    /// True when the packed representation equals the memory layout for any
+    /// element count (no gaps, extent == size): pack and unpack are memcpy.
+    bool flat() const;
 };
 
 // ---------------------------------------------------------------------------
@@ -102,7 +107,11 @@ struct Envelope {
     int context = 0;
     int src = 0;  // comm rank of the sender within `context`'s communicator
     int tag = 0;
-    std::vector<std::byte> bytes;
+    /// Packed payload of `size` bytes. Only messages that wait in the
+    /// unexpected queue carry one (a matched posted receive is copied into
+    /// directly); allocated uninitialised, since pack writes every byte.
+    std::unique_ptr<std::byte[]> bytes;
+    std::size_t size = 0;
     double arrival = 0.0;  // virtual time at which the payload is available
     /// Latency of the link this message traveled (intra- or inter-node);
     /// prices the synchronous-mode acknowledgement hop.
@@ -125,6 +134,28 @@ struct Mailbox {
     std::condition_variable cv;
     std::deque<Envelope> unexpected;
     std::vector<xmpi_request_t*> posted;  // posted receives, in post order
+    /// Threads asleep on `cv`. Wakers read it under `m` and skip the notify
+    /// when it is 0: a waiter re-checks its predicate under `m` before it
+    /// parks, so it cannot sleep through a change made before that check.
+    int parked = 0;
+
+    /// Sleeps on `cv`; the caller holds `lock` on `m`.
+    void park(std::unique_lock<std::mutex>& lock) {
+        ++parked;
+        cv.wait(lock);
+        --parked;
+    }
+    /// Sleeps on `cv` for at most `d` (for waits whose wakers do not all
+    /// notify this mailbox, e.g. shm publishes).
+    void park_for(std::unique_lock<std::mutex>& lock, std::chrono::microseconds d) {
+        ++parked;
+        cv.wait_for(lock, d);
+        --parked;
+    }
+    /// Wakes the parked waiters, if any; the caller holds `m`.
+    void notify_parked() {
+        if (parked > 0) cv.notify_all();
+    }
 };
 
 // ---------------------------------------------------------------------------
@@ -168,7 +199,9 @@ struct RankState {
 
     // Virtual clock.
     VTime vnow;
-    double last_cpu = 0.0;  // last sampled thread CPU time
+    /// Thread CPU time up to which compute has been charged (or skipped).
+    /// Never sampled when the universe's compute_scale is 0.
+    double last_cpu = 0.0;
 
     std::atomic<bool> dead{false};
 
@@ -206,6 +239,18 @@ struct Universe {
     Config cfg;
     int size = 0;
     std::uint64_t id = 0;
+    /// True when every rank thread can have a CPU of its own, so blocking
+    /// waits spin briefly before they park (see spin_then_park). Resolved
+    /// once in xmpi::run from the process's CPU affinity mask; on an
+    /// oversubscribed machine waits park at once.
+    bool spin_waits = false;
+    /// Rank threads that have started; waits do not spin before all have
+    /// (a peer that is not spawned yet cannot answer soon).
+    std::atomic<int> ranks_started{0};
+    /// Whether a blocking wait may spin now (see spin_then_park).
+    bool may_spin() const {
+        return spin_waits && ranks_started.load(std::memory_order_relaxed) == size;
+    }
     /// world rank -> node id of the hierarchical topology; empty on a flat
     /// (single-tier) network. Resolved once at universe creation
     /// (see topo/topo.hpp) and immutable afterwards.
@@ -238,16 +283,62 @@ RankState*& tls_rank();
 double thread_cpu_now();
 
 /// Advances the calling rank's virtual clock by the CPU time consumed since
-/// the last charge.
+/// the last charge. Samples no clock when compute_scale is 0.
 void charge_compute(RankState* rs);
+
+/// Moves the compute anchor to now without charging: the CPU time since the
+/// last charge was spent waiting, not computing. No-op at compute_scale 0.
+void skip_compute(RankState* rs);
+
+/// Result of a spin_then_park `park` step that did not end the wait.
+inline constexpr int kKeepWaiting = -1;
+
+/// How long a blocking wait spins before it parks.
+inline constexpr auto kSpinBudget = std::chrono::microseconds(50);
+
+/// The substrate's one blocking-wait idiom: a bounded spin, then park.
+///   - `ready()` polls without any lock and may do work (a generalized
+///     request advances its schedule in it); true ends the wait with
+///     MPI_SUCCESS.
+///   - `blocked()` runs once, at the first failed poll, so wait accounting
+///     that starts there includes the spin.
+///   - `park()` takes the caller's lock, re-checks the predicate and the
+///     failure conditions and sleeps on the caller's condition variable. It
+///     returns kKeepWaiting, or the wait's result (MPI_SUCCESS or an error).
+/// The spin yields on every turn and only runs when Universe::may_spin says
+/// each rank thread has a CPU of its own and all have started; otherwise
+/// the first failed poll parks at once. CPU time burnt while waiting is never charged as
+/// compute: the anchor is moved past it before every poll and at the end.
+template <typename Ready, typename Blocked, typename Park>
+int spin_then_park(RankState* rs, Ready&& ready, Blocked&& blocked, Park&& park) {
+    if (ready()) return MPI_SUCCESS;
+    blocked();
+    int rc = kKeepWaiting;
+    if (rs->universe->may_spin()) {
+        auto const until = std::chrono::steady_clock::now() + kSpinBudget;
+        do {
+            std::this_thread::yield();
+            skip_compute(rs);
+            if (ready()) rc = MPI_SUCCESS;
+        } while (rc == kKeepWaiting && std::chrono::steady_clock::now() < until);
+    }
+    while (rc == kKeepWaiting) {
+        rc = park();
+        skip_compute(rs);
+        if (rc == kKeepWaiting && ready()) rc = MPI_SUCCESS;
+    }
+    skip_compute(rs);
+    return rc;
+}
 
 /// Wakes every rank blocked on its mailbox (used on rank death / revoke so
 /// blocked operations re-evaluate their failure predicates).
 void wake_all(Universe* u);
 
-/// Wakes one rank blocked on its mailbox condition variable (lock-empty
-/// critical section, so a concurrently parking waiter cannot miss the
-/// notify). Used by the progress engine to publish schedule completion.
+/// Wakes one rank blocked on its mailbox condition variable, if any is
+/// parked (the count is read under the mailbox lock, so a concurrently
+/// parking waiter cannot miss the notify). Used by the progress engine to
+/// publish schedule completion.
 void wake_rank(RankState* rs);
 
 // ---------------------------------------------------------------------------

@@ -5,7 +5,12 @@
 /// Locking discipline: all matching state of rank R lives in R's mailbox and
 /// is guarded by its mutex. A thread holds at most one mailbox mutex at a
 /// time; cross-rank wakeups (synchronous-send completion) are issued after
-/// releasing the local mutex.
+/// releasing the local mutex, and only reach threads that are parked.
+///
+/// Blocking waits spin briefly, then park (spin_then_park in internal.hpp).
+/// A message that meets a matching posted receive is packed straight into
+/// the receive buffer when that buffer takes it as-is; only the unexpected
+/// path (and truncating or non-flat receives) goes through an envelope.
 #include <algorithm>
 #include <chrono>
 
@@ -14,13 +19,19 @@
 
 namespace xmpi::detail {
 
-/// Wakes a remote rank blocked on its own mailbox (lock-empty critical
-/// section avoids lost wakeups without holding two mailbox mutexes). Also
-/// used by the asynchronous progress engine to wake an owner parked in
-/// wait_one on an offloaded schedule.
+/// Wakes a remote rank blocked on its own mailbox without holding two
+/// mailbox mutexes: the parked count is read under the lock, which orders
+/// the read after the waiter's last predicate check, and the notify goes
+/// out after release, only when someone sleeps. Also used by the
+/// asynchronous progress engine to wake an owner parked in wait_one on an
+/// offloaded schedule.
 void wake_rank(RankState* rs) {
-    { std::lock_guard<std::mutex> lock(rs->mbox.m); }
-    rs->mbox.cv.notify_all();
+    bool parked = false;
+    {
+        std::lock_guard<std::mutex> lock(rs->mbox.m);
+        parked = rs->mbox.parked > 0;
+    }
+    if (parked) rs->mbox.cv.notify_all();
 }
 
 namespace {
@@ -30,26 +41,64 @@ bool match(int pctx, int psrc, int ptag, Envelope const& e) {
            (ptag == MPI_ANY_TAG || ptag == e.tag);
 }
 
-/// Completes a posted/created receive request from an envelope. The caller
-/// holds the owner's mailbox mutex.
-void fill_recv(xmpi_request_t* pr, Envelope& env) {
+/// Publishes a receive's status and completion once its payload is in
+/// place. The caller holds the owner's mailbox mutex.
+void complete_recv(xmpi_request_t* pr, Envelope const& env) {
+    pr->status.MPI_SOURCE = env.src;
+    pr->status.MPI_TAG = env.tag;
+    pr->status.MPI_ERROR = pr->error;
+    pr->status._bytes = static_cast<int>(env.size);
+    pr->completion_vtime = env.arrival;
+    pr->posted = false;
+    pr->complete.store(true, std::memory_order_release);
+}
+
+/// Completes a posted/created receive request from an envelope's packed
+/// payload. The caller holds the owner's mailbox mutex.
+void fill_recv(xmpi_request_t* pr, Envelope const& env) {
     std::size_t const cap =
         static_cast<std::size_t>(pr->count) * static_cast<std::size_t>(pr->type->size);
-    std::size_t take = env.bytes.size();
+    std::size_t take = env.size;
     if (take > cap) {
         pr->error = MPI_ERR_TRUNCATE;
         take = cap;
     }
     if (pr->type->size > 0 && take > 0) {
-        pr->type->unpack(env.bytes.data(), static_cast<int>(take / pr->type->size), pr->buf);
+        pr->type->unpack(env.bytes.get(), static_cast<int>(take / pr->type->size), pr->buf);
     }
-    pr->status.MPI_SOURCE = env.src;
-    pr->status.MPI_TAG = env.tag;
-    pr->status.MPI_ERROR = pr->error;
-    pr->status._bytes = static_cast<int>(env.bytes.size());
-    pr->completion_vtime = env.arrival;
-    pr->posted = false;
-    pr->complete.store(true, std::memory_order_release);
+    complete_recv(pr, env);
+}
+
+/// True when a `bytes`-byte payload can be packed straight into `pr`'s
+/// buffer with the result fill_recv would produce: the receive type is
+/// flat and the payload is whole elements of it that fit. Truncating and
+/// non-flat receives keep the envelope path.
+bool fits_direct(xmpi_request_t const* pr, std::size_t bytes) {
+    if (bytes == 0) return true;
+    auto const elem = static_cast<std::size_t>(pr->type->size);
+    return elem > 0 && bytes % elem == 0 && bytes <= static_cast<std::size_t>(pr->count) * elem &&
+           pr->type->flat();
+}
+
+/// Packs the sender's buffer into the envelope's own payload (once).
+void pack_payload(Envelope& env, void const* buf, int count, MPI_Datatype type) {
+    if (env.size == 0 || env.bytes != nullptr) return;
+    env.bytes.reset(new std::byte[env.size]);
+    type->pack(buf, count, env.bytes.get());
+}
+
+/// Unlinks and returns the oldest posted receive of `mb` matching `env`, or
+/// null. The caller holds `mb.m`.
+xmpi_request_t* take_posted(Mailbox& mb, Envelope const& env) {
+    auto& posted = mb.posted;
+    for (auto it = posted.begin(); it != posted.end(); ++it) {
+        xmpi_request_t* pr = *it;
+        if (match(pr->context, pr->match_src, pr->match_tag, env)) {
+            posted.erase(it);
+            return pr;
+        }
+    }
+    return nullptr;
 }
 
 void unlink_posted(RankState* self, xmpi_request_t* req) {
@@ -58,23 +107,23 @@ void unlink_posted(RankState* self, xmpi_request_t* req) {
     req->posted = false;
 }
 
-/// Wall-clock accounting for blocking waits. The steady clock is sampled
-/// lazily, just before the first actual sleep, so a wait whose request is
-/// already complete pays zero clock reads. Accumulates into
+/// Wall-clock accounting for blocking waits. The steady clock is sampled at
+/// the first failed completion check (spin_then_park's `blocked` hook), so
+/// the time counts whether the caller spins or sleeps, and a wait whose
+/// request is already complete pays zero clock reads. Accumulates into
 /// RankState::wait_time_ns (the `p2p.wait_time_ns` pvar).
 struct WaitTimer {
     std::chrono::steady_clock::time_point t0;
-    bool slept = false;
+    bool started = false;
 
-    void about_to_sleep(int tag, std::uint64_t seq) {
-        if (slept) return;
-        slept = true;
+    void start(int tag, std::uint64_t seq) {
+        started = true;
         t0 = std::chrono::steady_clock::now();
         trace::ev(trace::Ev::wait_begin, -1, tag, 0, seq);
     }
 
     void finish(RankState* self, int tag, std::uint64_t seq) {
-        if (!slept) return;
+        if (!started) return;
         auto const ns = static_cast<std::uint64_t>(
             std::chrono::duration_cast<std::chrono::nanoseconds>(std::chrono::steady_clock::now() -
                                                                  t0)
@@ -116,6 +165,32 @@ void retire(xmpi_request_t* req) {
 /// calls on inactive requests succeed with an empty status).
 bool inactive_persistent(xmpi_request_t const* req) {
     return req->persistent && !req->active;
+}
+
+/// Drives a generalized request to completion. An offloaded schedule is
+/// advanced entirely by the progress engine: the app thread only waits and
+/// the engine's completion wakes it. Otherwise the app thread advances the
+/// schedule itself — those calls are counted so the overlap tests can
+/// assert the wait side did zero progress work under the engine. Parks in
+/// 200 us slices, because shm publishes do not notify the mailbox.
+template <typename Blocked>
+void drive_generalized(RankState* self, xmpi_request_t* req, Blocked&& blocked) {
+    using namespace std::chrono_literals;
+    spin_then_park(
+        self,
+        [self, req] {
+            if (req->complete.load(std::memory_order_acquire)) return true;
+            if (req->offloaded) return false;
+            ++self->app_progress_calls;
+            return req->progress(req);
+        },
+        blocked,
+        [self, req] {
+            std::unique_lock<std::mutex> lock(self->mbox.m);
+            if (req->complete.load(std::memory_order_acquire)) return MPI_SUCCESS;
+            self->mbox.park_for(lock, 200us);
+            return kKeepWaiting;
+        });
 }
 
 /// Arms a receive request whose matching spec is already filled in: matches
@@ -174,8 +249,7 @@ int deposit(RankState* sender, MPI_Comm comm, int context, int dest_comm_rank, i
     env.context = context;
     env.src = comm->rank();
     env.tag = tag;
-    env.bytes.resize(bytes);
-    if (bytes > 0) type->pack(buf, count, env.bytes.data());
+    env.size = bytes;
     env.arrival = sender->vnow + alpha + beta * static_cast<double>(bytes);
     env.ack_alpha = alpha;
     env.ssend = sync;
@@ -193,26 +267,41 @@ int deposit(RankState* sender, MPI_Comm comm, int context, int dest_comm_rank, i
     }
     trace::ev(trace::Ev::send, dest_w, tag, bytes, static_cast<std::uint64_t>(context));
 
-    RankState* dest = u->ranks[static_cast<std::size_t>(dest_w)].get();
-    {
-        std::lock_guard<std::mutex> lock(dest->mbox.m);
-        auto& posted = dest->mbox.posted;
-        bool matched = false;
-        for (auto it = posted.begin(); it != posted.end(); ++it) {
-            xmpi_request_t* pr = *it;
-            if (match(pr->context, pr->match_src, pr->match_tag, env)) {
-                posted.erase(it);
-                fill_recv(pr, env);
-                if (sync) {
-                    sync->match_vtime = env.arrival + env.ack_alpha;
-                    sync->matched.store(true, std::memory_order_release);
-                }
-                matched = true;
-                break;
-            }
+    Mailbox& mb = u->ranks[static_cast<std::size_t>(dest_w)]->mbox;
+    // Completes a matched posted receive under mb.m. A receive that takes
+    // the payload as-is gets it packed straight into its buffer.
+    auto deliver = [&](xmpi_request_t* pr) {
+        if (env.bytes == nullptr && fits_direct(pr, bytes)) {
+            if (bytes > 0) type->pack(buf, count, static_cast<std::byte*>(pr->buf));
+            complete_recv(pr, env);
+        } else {
+            pack_payload(env, buf, count, type);
+            fill_recv(pr, env);
         }
-        if (!matched) dest->mbox.unexpected.push_back(std::move(env));
-        dest->mbox.cv.notify_all();
+        if (sync) {
+            sync->match_vtime = env.arrival + env.ack_alpha;
+            sync->matched.store(true, std::memory_order_release);
+        }
+    };
+    bool delivered = false;
+    {
+        std::lock_guard<std::mutex> lock(mb.m);
+        if (xmpi_request_t* pr = take_posted(mb, env)) {
+            deliver(pr);
+            delivered = true;
+            mb.notify_parked();
+        }
+    }
+    if (!delivered) {
+        // Unexpected: pack outside the lock, then re-check for a receive
+        // posted in the meantime before queueing.
+        pack_payload(env, buf, count, type);
+        std::lock_guard<std::mutex> lock(mb.m);
+        if (xmpi_request_t* pr = take_posted(mb, env))
+            deliver(pr);
+        else
+            mb.unexpected.push_back(std::move(env));
+        mb.notify_parked();
     }
     // An offloaded schedule owned by the destination may be parked waiting
     // for exactly this message: nudge its progress worker (no-op when the
@@ -268,19 +357,19 @@ int wait_one(xmpi_request_t* req, MPI_Status* status) {
             auto const ctx = static_cast<std::uint64_t>(req->context);
             int const wtag = req->match_tag;
             WaitTimer timer;
-            int err = MPI_SUCCESS;
-            {
-                std::unique_lock<std::mutex> lock(self->mbox.m);
-                while (!req->complete.load(std::memory_order_acquire)) {
-                    err = recv_failure(u, req);
-                    if (err != MPI_SUCCESS) {
+            int err = spin_then_park(
+                self, [req] { return req->complete.load(std::memory_order_acquire); },
+                [&] { timer.start(wtag, ctx); },
+                [&] {
+                    std::unique_lock<std::mutex> lock(self->mbox.m);
+                    if (req->complete.load(std::memory_order_acquire)) return MPI_SUCCESS;
+                    if (int const e = recv_failure(u, req); e != MPI_SUCCESS) {
                         unlink_posted(self, req);
-                        break;
+                        return e;
                     }
-                    timer.about_to_sleep(wtag, ctx);
-                    self->mbox.cv.wait(lock);
-                }
-            }
+                    self->mbox.park(lock);
+                    return kKeepWaiting;
+                });
             timer.finish(self, wtag, ctx);
             if (err != MPI_SUCCESS) {
                 retire(req);
@@ -297,22 +386,18 @@ int wait_one(xmpi_request_t* req, MPI_Status* status) {
         case xmpi_request_t::Kind::ssend: {
             auto const ctx = static_cast<std::uint64_t>(req->context);
             WaitTimer timer;
-            int err = MPI_SUCCESS;
-            {
-                std::unique_lock<std::mutex> lock(self->mbox.m);
-                while (!req->tok->matched.load(std::memory_order_acquire)) {
-                    if (comm_revoked(req->comm)) {
-                        err = MPIX_ERR_REVOKED;
-                        break;
-                    }
-                    if (rank_dead(u, req->comm->world_of(req->match_src))) {
-                        err = MPIX_ERR_PROC_FAILED;
-                        break;
-                    }
-                    timer.about_to_sleep(req->match_tag, ctx);
-                    self->mbox.cv.wait(lock);
-                }
-            }
+            int const err = spin_then_park(
+                self, [req] { return req->tok->matched.load(std::memory_order_acquire); },
+                [&] { timer.start(req->match_tag, ctx); },
+                [&] {
+                    std::unique_lock<std::mutex> lock(self->mbox.m);
+                    if (req->tok->matched.load(std::memory_order_acquire)) return MPI_SUCCESS;
+                    if (comm_revoked(req->comm)) return MPIX_ERR_REVOKED;
+                    if (rank_dead(u, req->comm->world_of(req->match_src)))
+                        return MPIX_ERR_PROC_FAILED;
+                    self->mbox.park(lock);
+                    return kKeepWaiting;
+                });
             timer.finish(self, req->match_tag, ctx);
             if (err == MPI_SUCCESS) self->vnow.advance_to(req->tok->match_vtime);
             fill_empty_status(status);
@@ -320,25 +405,9 @@ int wait_one(xmpi_request_t* req, MPI_Status* status) {
             return err;
         }
         case xmpi_request_t::Kind::generalized: {
-            using namespace std::chrono_literals;
             auto const ctx = static_cast<std::uint64_t>(req->context);
             WaitTimer timer;
-            while (!req->complete.load(std::memory_order_acquire)) {
-                // An offloaded schedule is driven entirely by the progress
-                // engine: the app thread parks and the engine's completion
-                // wakes it. Otherwise the app thread drives the schedule
-                // itself — those calls are counted so the overlap tests can
-                // assert the wait side did zero progress work under the
-                // engine.
-                if (!req->offloaded) {
-                    ++self->app_progress_calls;
-                    if (req->progress(req)) break;
-                }
-                std::unique_lock<std::mutex> lock(self->mbox.m);
-                if (req->complete.load(std::memory_order_acquire)) break;
-                timer.about_to_sleep(-1, ctx);
-                self->mbox.cv.wait_for(lock, 200us);
-            }
+            drive_generalized(self, req, [&] { timer.start(-1, ctx); });
             timer.finish(self, -1, ctx);
             self->vnow.advance_to(req->completion_vtime);
             fill_empty_status(status);
@@ -532,6 +601,7 @@ int MPI_Isend(const void* buf, int count, MPI_Datatype type, int dest, int tag, 
     comm = resolve(comm);
     if (int rc = check_comm(comm); rc != MPI_SUCCESS) return rc;
     if (request == nullptr) return MPI_ERR_REQUEST;
+    if (dest != MPI_PROC_NULL && (dest < 0 || dest >= comm->size())) return MPI_ERR_RANK;
     auto* req = new xmpi_request_t();
     req->kind = xmpi_request_t::Kind::send;
     req->owner = tls_rank();
@@ -602,10 +672,15 @@ int MPI_Sendrecv(const void* sendbuf, int sendcount, MPI_Datatype sendtype, int 
 }
 
 int MPI_Probe(int source, int tag, MPI_Comm comm, MPI_Status* status) {
-    int flag = 0;
-    // Blocking probe: loop on Iprobe with the mailbox condition variable.
+    // Blocking probe: scan the unexpected queue, park on the mailbox between
+    // scans.
     comm = resolve(comm);
     if (int rc = check_comm(comm); rc != MPI_SUCCESS) return rc;
+    if (source == MPI_PROC_NULL) {
+        fill_empty_status(status);
+        return MPI_SUCCESS;
+    }
+    if (source != MPI_ANY_SOURCE && (source < 0 || source >= comm->size())) return MPI_ERR_RANK;
     RankState* self = tls_rank();
     Universe* u = self->universe;
     charge_compute(self);
@@ -615,7 +690,7 @@ int MPI_Probe(int source, int tag, MPI_Comm comm, MPI_Status* status) {
             if (match(comm->context, source, tag, env)) {
                 if (status != nullptr) {
                     *status = MPI_Status{env.src, env.tag, MPI_SUCCESS,
-                                         static_cast<int>(env.bytes.size())};
+                                         static_cast<int>(env.size)};
                 }
                 self->vnow.advance_to(env.arrival);
                 return MPI_SUCCESS;
@@ -625,15 +700,20 @@ int MPI_Probe(int source, int tag, MPI_Comm comm, MPI_Status* status) {
         if (source != MPI_ANY_SOURCE && rank_dead(u, comm->world_of(source)))
             return MPIX_ERR_PROC_FAILED;
         if (source == MPI_ANY_SOURCE && any_member_dead(comm)) return MPIX_ERR_PROC_FAILED;
-        self->mbox.cv.wait(lock);
+        self->mbox.park(lock);
     }
-    (void)flag;
 }
 
 int MPI_Iprobe(int source, int tag, MPI_Comm comm, int* flag, MPI_Status* status) {
     comm = resolve(comm);
     if (int rc = check_comm(comm); rc != MPI_SUCCESS) return rc;
     if (flag == nullptr) return MPI_ERR_ARG;
+    if (source == MPI_PROC_NULL) {
+        *flag = 1;
+        fill_empty_status(status);
+        return MPI_SUCCESS;
+    }
+    if (source != MPI_ANY_SOURCE && (source < 0 || source >= comm->size())) return MPI_ERR_RANK;
     RankState* self = tls_rank();
     charge_compute(self);
     std::lock_guard<std::mutex> lock(self->mbox.m);
@@ -644,7 +724,7 @@ int MPI_Iprobe(int source, int tag, MPI_Comm comm, int* flag, MPI_Status* status
             *flag = 1;
             if (status != nullptr) {
                 *status =
-                    MPI_Status{env.src, env.tag, MPI_SUCCESS, static_cast<int>(env.bytes.size())};
+                    MPI_Status{env.src, env.tag, MPI_SUCCESS, static_cast<int>(env.size)};
             }
             self->vnow.advance_to(env.arrival);
             return MPI_SUCCESS;
@@ -724,7 +804,6 @@ int MPI_Testall(int count, MPI_Request* requests, int* flag, MPI_Status* statuse
 }
 
 int MPI_Waitany(int count, MPI_Request* requests, int* index, MPI_Status* status) {
-    using namespace std::chrono_literals;
     if (index == nullptr) return MPI_ERR_ARG;
     // Null and inactive persistent requests are ignored (MPI semantics);
     // with nothing active there is nothing to wait for.
@@ -737,21 +816,33 @@ int MPI_Waitany(int count, MPI_Request* requests, int* index, MPI_Status* status
         return MPI_SUCCESS;
     }
     RankState* self = tls_rank();
-    for (;;) {
-        for (int i = 0; i < count; ++i) {
-            if (requests[i] == MPI_REQUEST_NULL || inactive_persistent(requests[i])) continue;
-            int f = 0;
-            bool const keep = keeps_handle(requests[i]);
-            int const rc = test_one(requests[i], &f, status);
-            if (f != 0) {
-                if (!keep) requests[i] = MPI_REQUEST_NULL;
-                *index = i;
-                return rc;
+    int rc = MPI_SUCCESS;
+    // Parks in 200 us slices: the requests may be generalized ones whose
+    // progress no deposit announces.
+    spin_then_park(
+        self,
+        [&] {
+            for (int i = 0; i < count; ++i) {
+                if (requests[i] == MPI_REQUEST_NULL || inactive_persistent(requests[i])) continue;
+                int f = 0;
+                bool const keep = keeps_handle(requests[i]);
+                rc = test_one(requests[i], &f, status);
+                if (f != 0) {
+                    if (!keep) requests[i] = MPI_REQUEST_NULL;
+                    *index = i;
+                    return true;
+                }
             }
-        }
-        std::unique_lock<std::mutex> lock(self->mbox.m);
-        self->mbox.cv.wait_for(lock, 200us);
-    }
+            return false;
+        },
+        [] {},
+        [self] {
+            using namespace std::chrono_literals;
+            std::unique_lock<std::mutex> lock(self->mbox.m);
+            self->mbox.park_for(lock, 200us);
+            return kKeepWaiting;
+        });
+    return rc;
 }
 
 int MPI_Testany(int count, MPI_Request* requests, int* index, int* flag, MPI_Status* status) {
@@ -834,16 +925,7 @@ int MPI_Request_free(MPI_Request* request) {
         // (peers depend on our remaining sends); drive it to completion
         // first. Every rank freeing its started request terminates like the
         // blocking collective would.
-        using namespace std::chrono_literals;
-        while (!req->complete.load(std::memory_order_acquire)) {
-            if (!req->offloaded) {
-                ++self->app_progress_calls;
-                if (req->progress(req)) break;
-            }
-            std::unique_lock<std::mutex> lock(self->mbox.m);
-            if (req->complete.load(std::memory_order_acquire)) break;
-            self->mbox.cv.wait_for(lock, 200us);
-        }
+        drive_generalized(self, req, [] {});
     }
     delete req;
     return MPI_SUCCESS;

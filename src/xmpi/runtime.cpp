@@ -3,6 +3,7 @@
 /// environment calls and in-rank introspection.
 #include <limits.h>
 #include <pthread.h>
+#include <sched.h>
 #include <time.h>
 
 #include <atomic>
@@ -48,22 +49,36 @@ double thread_cpu_now() {
     return static_cast<double>(ts.tv_sec) + static_cast<double>(ts.tv_nsec) * 1e-9;
 }
 
+namespace {
+
+/// True when the calling thread's CPU clock drives `rs`'s compute charge.
+/// A progress thread adopts the owner's identity (tls_rank) while it
+/// advances an offloaded schedule, but its CPU clock is its *own*
+/// per-thread clock: sampling it would corrupt the owner's last_cpu anchor
+/// and charge engine bookkeeping as application compute. The owner's thread
+/// keeps charging its real compute at its next MPI call. At compute_scale 0
+/// the charge is always zero, so the clock (~0.4 us a sample) is not read.
+bool samples_compute(RankState const* rs) {
+    return rs->universe->cfg.compute_scale != 0.0 && !progress::on_progress_thread();
+}
+
+}  // namespace
+
 void charge_compute(RankState* rs) {
-    // A progress thread adopts the owner's identity (tls_rank) while it
-    // advances an offloaded schedule, but its CPU clock is its *own*
-    // per-thread clock: sampling it here would corrupt the owner's last_cpu
-    // anchor and charge engine bookkeeping as application compute. The
-    // owner's thread keeps charging its real compute at its next MPI call.
-    if (progress::on_progress_thread()) return;
+    if (!samples_compute(rs)) return;
     double const cpu = thread_cpu_now();
     rs->vnow += (cpu - rs->last_cpu) * rs->universe->cfg.compute_scale;
     rs->last_cpu = cpu;
 }
 
+void skip_compute(RankState* rs) {
+    if (samples_compute(rs)) rs->last_cpu = thread_cpu_now();
+}
+
 void wake_all(Universe* u) {
     for (auto& r : u->ranks) {
         std::lock_guard<std::mutex> lock(r->mbox.m);
-        r->mbox.cv.notify_all();
+        r->mbox.notify_parked();
     }
     // Dead-rank / revoke predicates are also re-evaluated by parked progress
     // threads (their nonblocking protocol waits return before the failure
@@ -143,7 +158,8 @@ void* rank_main(void* vp) {
     auto* arg = static_cast<ThreadArg*>(vp);
     RankState* rs = arg->universe->ranks[static_cast<std::size_t>(arg->rank)].get();
     detail::tls_rank() = rs;
-    rs->last_cpu = detail::thread_cpu_now();
+    detail::skip_compute(rs);
+    arg->universe->ranks_started.fetch_add(1, std::memory_order_relaxed);
     try {
         (*arg->body)(arg->rank);
     } catch (detail::RankKilled const&) {
@@ -164,6 +180,13 @@ RunResult run(int num_ranks, std::function<void(int)> const& body, Config const&
     universe->cfg = config;
     universe->size = num_ranks;
     universe->id = detail::g_universe_counter.fetch_add(1);
+    {
+        // Rank threads inherit this thread's affinity mask.
+        cpu_set_t allowed;
+        CPU_ZERO(&allowed);
+        universe->spin_waits = sched_getaffinity(0, sizeof allowed, &allowed) == 0 &&
+                               num_ranks <= CPU_COUNT(&allowed);
+    }
     universe->node_of_world = detail::topo::build_node_map(num_ranks, config);
     {
         int num_nodes = 1;

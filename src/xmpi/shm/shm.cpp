@@ -4,7 +4,6 @@
 #include "shm.hpp"
 
 #include <chrono>
-#include <thread>
 
 #include "../algorithms/algorithms.hpp"
 #include "../env.hpp"
@@ -12,11 +11,6 @@
 namespace xmpi::detail::shm {
 
 namespace {
-
-/// Bounded spin before falling back to the block's condition variable.
-/// Ranks routinely oversubscribe cores (they are threads, not processes),
-/// so the spin is short and yields.
-inline constexpr int kSpinIters = 64;
 
 /// Sleeping waits poll for communicator failure at this cadence so a dead
 /// producer never strands its consumers (the runtime's wake_all only
@@ -31,23 +25,21 @@ int failure_check(MPI_Comm comm) {
     return MPI_SUCCESS;
 }
 
-/// Shared slow path for all three protocol gates: spin on `pred`, then sleep
-/// on the block cv in failure-polling slices. Returns 1/0/-err per the
-/// header contract.
+/// Shared slow path for all three protocol gates: the substrate's
+/// spin-then-park wait (see internal.hpp), sleeping on the block cv in
+/// failure-polling slices. Returns 1/0/-err per the header contract.
 template <typename Pred>
 int wait_on(Block& b, MPI_Comm comm, bool blocking, Pred&& pred) {
     if (pred()) return 1;
     if (!blocking) return 0;
-    for (int i = 0; i < kSpinIters; ++i) {
-        std::this_thread::yield();
-        if (pred()) return 1;
-    }
-    std::unique_lock<std::mutex> lock(b.m);
-    for (;;) {
-        if (pred()) return 1;
-        if (int const err = failure_check(comm); err != MPI_SUCCESS) return -err;
+    int const rc = spin_then_park(tls_rank(), pred, [] {}, [&] {
+        std::unique_lock<std::mutex> lock(b.m);
+        if (pred()) return MPI_SUCCESS;
+        if (int const err = failure_check(comm); err != MPI_SUCCESS) return err;
         b.cv.wait_for(lock, kPollInterval);
-    }
+        return kKeepWaiting;
+    });
+    return rc == MPI_SUCCESS ? 1 : -rc;
 }
 
 /// Lock-empty critical section before notify (the mailbox wake idiom): a

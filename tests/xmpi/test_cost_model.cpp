@@ -5,8 +5,10 @@
 /// collective latency matches the implemented message patterns.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
+#include <unistd.h>
 
+#include <algorithm>
+#include <cstdlib>
 #include <vector>
 
 #include "../testing_utils.hpp"
@@ -91,6 +93,37 @@ TEST(CostModel, BlockedTimeIsNotCharged) {
         cfg);
     // With compute disabled, total modeled time is just one message.
     EXPECT_LT(result.max_vtime, 100e-6);
+}
+
+TEST(CostModel, WaitingIsNotChargedAsCompute) {
+    // Rank 0 waits ~5 ms for a peer that sleeps and then sends. The wait may
+    // spin before it parks; neither half is application compute. Right after
+    // the receive, rank 0's clock must be the later of its entry clock and
+    // the message arrival (alpha + o + beta * 8 after the peer's send), plus
+    // the CPU time of the calls themselves: a few microseconds, up to ~25 us
+    // where a sleep and wake-up are charged, which compute_scale = 100 turns
+    // into at most ~2.5 ms of vtime. A charged 50 us spin adds 5 ms.
+    FlatTopo const flat;
+    xmpi::Config cfg;
+    cfg.compute_scale = 100.0;
+    double excess = -1.0;
+    xmpi::run(
+        2,
+        [&](int rank) {
+            if (rank == 1) {
+                usleep(5000);
+                double const sent_at = MPI_Wtime();
+                MPI_Send(&sent_at, 1, MPI_DOUBLE, 0, 0, MPI_COMM_WORLD);
+            } else {
+                double const entry = MPI_Wtime();
+                double sent_at = 0.0;
+                MPI_Recv(&sent_at, 1, MPI_DOUBLE, 1, 0, MPI_COMM_WORLD, MPI_STATUS_IGNORE);
+                excess = MPI_Wtime() - std::max(entry, sent_at);
+            }
+        },
+        cfg);
+    EXPECT_GE(excess, cfg.alpha);
+    EXPECT_LT(excess, 4e-3) << "waiting was charged as compute";
 }
 
 TEST(CostModel, ComputeScaleMultipliesLocalWork) {

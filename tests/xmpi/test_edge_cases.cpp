@@ -88,6 +88,54 @@ TEST(EdgeCases, InvalidRootRejectedByEveryGatherScatterFlavor) {
     });
 }
 
+// An out-of-range destination is rejected with MPI_ERR_RANK before the send
+// reads the destination's group entry; no request is handed out.
+TEST(EdgeCases, IsendRejectsOutOfRangeDest) {
+    xmpi::run(2, [](int rank) {
+        int v = rank;
+        for (int const dest : {2, 99, -5}) {
+            MPI_Request req = MPI_REQUEST_NULL;
+            EXPECT_EQ(MPI_Isend(&v, 1, MPI_INT, dest, 0, MPI_COMM_WORLD, &req), MPI_ERR_RANK)
+                << "dest " << dest;
+            EXPECT_EQ(req, MPI_REQUEST_NULL);
+        }
+        // The communicator is still usable afterwards.
+        int got = -1;
+        EXPECT_EQ(MPI_Sendrecv(&v, 1, MPI_INT, 1 - rank, 0, &got, 1, MPI_INT, 1 - rank, 0,
+                               MPI_COMM_WORLD, MPI_STATUS_IGNORE),
+                  MPI_SUCCESS);
+        EXPECT_EQ(got, 1 - rank);
+    });
+}
+
+// Probe and Iprobe validate `source` as MPI_Recv does: an out-of-range
+// source is MPI_ERR_RANK (it used to index the group out of bounds), and
+// MPI_PROC_NULL (-3) finds an empty message at once.
+TEST(EdgeCases, ProbeAndIprobeValidateSource) {
+    static_assert(MPI_PROC_NULL == -3);
+    xmpi::run(2, [](int) {
+        for (int const source : {42, 2, -5}) {
+            MPI_Status st;
+            int flag = -1;
+            EXPECT_EQ(MPI_Probe(source, 0, MPI_COMM_WORLD, &st), MPI_ERR_RANK) << source;
+            EXPECT_EQ(MPI_Iprobe(source, 0, MPI_COMM_WORLD, &flag, &st), MPI_ERR_RANK) << source;
+        }
+        MPI_Status st{};
+        ASSERT_EQ(MPI_Probe(-3, 0, MPI_COMM_WORLD, &st), MPI_SUCCESS);
+        EXPECT_EQ(st.MPI_SOURCE, MPI_PROC_NULL);
+        EXPECT_EQ(st.MPI_TAG, MPI_ANY_TAG);
+        int count = -1;
+        MPI_Get_count(&st, MPI_INT, &count);
+        EXPECT_EQ(count, 0);
+        int flag = 0;
+        st = MPI_Status{};
+        ASSERT_EQ(MPI_Iprobe(-3, 0, MPI_COMM_WORLD, &flag, &st), MPI_SUCCESS);
+        EXPECT_EQ(flag, 1);
+        EXPECT_EQ(st.MPI_SOURCE, MPI_PROC_NULL);
+        MPI_Barrier(MPI_COMM_WORLD);
+    });
+}
+
 TEST(EdgeCases, NestedDerivedTypes) {
     // vector of contiguous of int: every second pair from a 2-column matrix.
     xmpi::run(2, [](int rank) {

@@ -3,7 +3,9 @@
 /// wildcards, non-blocking completion, synchronous mode, probes, statuses.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <numeric>
+#include <thread>
 #include <vector>
 
 #include "xmpi/mpi.h"
@@ -247,6 +249,154 @@ TEST(P2P, CountersTrackBytes) {
         }
     });
     EXPECT_EQ(result.total.p2p_bytes, 1024u);
+}
+
+namespace {
+
+/// What one receive delivered, and both ranks' clocks afterwards.
+struct Delivery {
+    std::vector<int> buf;
+    int error = -1;
+    MPI_Status status{};
+    int bytes = -1;
+    double recv_vtime = -1.0;
+    double send_vtime = -1.0;
+};
+
+enum class RecvCase { contiguous, vector_type, truncation, zero_count, wildcards, ssend, persistent };
+
+char const* case_name(RecvCase c) {
+    switch (c) {
+        case RecvCase::contiguous: return "contiguous";
+        case RecvCase::vector_type: return "vector_type";
+        case RecvCase::truncation: return "truncation";
+        case RecvCase::zero_count: return "zero_count";
+        case RecvCase::wildcards: return "wildcards";
+        case RecvCase::ssend: return "ssend";
+        case RecvCase::persistent: return "persistent";
+    }
+    return "?";
+}
+
+/// Sends one message from rank 0 to rank 1 at compute_scale 0, with the
+/// receive posted before the message is deposited (`posted_first`: the
+/// sender packs straight into a fitting receive buffer) or after the message
+/// waits in the unexpected queue (the envelope path). The ranks order their
+/// calls through a plain atomic, so the ordering costs no modelled time.
+Delivery deliver_once(RecvCase c, bool posted_first) {
+    constexpr int kN = 16;
+    xmpi::Config cfg;
+    cfg.compute_scale = 0.0;
+    std::atomic<bool> first_done{false};
+    auto await_first = [&] {
+        while (!first_done.load(std::memory_order_acquire)) std::this_thread::yield();
+    };
+    Delivery d;
+    xmpi::run(
+        2,
+        [&](int rank) {
+            if (rank == 0) {
+                std::vector<int> src(kN);
+                std::iota(src.begin(), src.end(), 100);
+                int const n = c == RecvCase::zero_count ? 0 : c == RecvCase::vector_type ? 8 : kN;
+                if (posted_first) await_first();
+                MPI_Request req = MPI_REQUEST_NULL;
+                if (c == RecvCase::ssend)
+                    ASSERT_EQ(MPI_Issend(src.data(), n, MPI_INT, 1, 7, MPI_COMM_WORLD, &req),
+                              MPI_SUCCESS);
+                else
+                    ASSERT_EQ(MPI_Isend(src.data(), n, MPI_INT, 1, 7, MPI_COMM_WORLD, &req),
+                              MPI_SUCCESS);
+                if (!posted_first) first_done.store(true, std::memory_order_release);
+                ASSERT_EQ(MPI_Wait(&req, MPI_STATUS_IGNORE), MPI_SUCCESS);
+                d.send_vtime = xmpi::vtime_now();
+                return;
+            }
+            d.buf.assign(2 * kN, -1);
+            MPI_Datatype type = MPI_INT;
+            int count = 2 * kN;  // room to spare: the message fits
+            if (c == RecvCase::vector_type) {
+                // Every second int: not flat, so the envelope path unpacks.
+                ASSERT_EQ(MPI_Type_vector(8, 1, 2, MPI_INT, &type), MPI_SUCCESS);
+                ASSERT_EQ(MPI_Type_commit(&type), MPI_SUCCESS);
+                count = 1;
+            } else if (c == RecvCase::truncation) {
+                count = kN / 2;
+            }
+            bool const wild = c == RecvCase::wildcards;
+            int const source = wild ? MPI_ANY_SOURCE : 0;
+            int const tag = wild ? MPI_ANY_TAG : 7;
+            if (!posted_first) await_first();
+            MPI_Request req = MPI_REQUEST_NULL;
+            if (c == RecvCase::persistent) {
+                ASSERT_EQ(MPI_Recv_init(d.buf.data(), count, type, source, tag, MPI_COMM_WORLD,
+                                        &req),
+                          MPI_SUCCESS);
+                ASSERT_EQ(MPI_Start(&req), MPI_SUCCESS);
+            } else {
+                ASSERT_EQ(MPI_Irecv(d.buf.data(), count, type, source, tag, MPI_COMM_WORLD, &req),
+                          MPI_SUCCESS);
+            }
+            if (posted_first) first_done.store(true, std::memory_order_release);
+            d.error = MPI_Wait(&req, &d.status);
+            d.recv_vtime = xmpi::vtime_now();
+            MPI_Get_count(&d.status, MPI_BYTE, &d.bytes);
+            if (c == RecvCase::persistent) MPI_Request_free(&req);
+            if (type != MPI_INT) MPI_Type_free(&type);
+        },
+        cfg);
+    return d;
+}
+
+}  // namespace
+
+// A receive completes identically whether the sender packed straight into
+// its posted buffer or the message waited as an envelope: buffer (including
+// untouched gaps), status, error and both ranks' virtual clocks.
+TEST(P2P, PostedAndUnexpectedPathsByteIdentical) {
+    for (RecvCase const c :
+         {RecvCase::contiguous, RecvCase::vector_type, RecvCase::truncation, RecvCase::zero_count,
+          RecvCase::wildcards, RecvCase::ssend, RecvCase::persistent}) {
+        SCOPED_TRACE(case_name(c));
+        Delivery const posted = deliver_once(c, true);
+        Delivery const unexpected = deliver_once(c, false);
+        EXPECT_EQ(posted.buf, unexpected.buf);
+        EXPECT_EQ(posted.error, unexpected.error);
+        EXPECT_EQ(posted.status.MPI_SOURCE, unexpected.status.MPI_SOURCE);
+        EXPECT_EQ(posted.status.MPI_TAG, unexpected.status.MPI_TAG);
+        EXPECT_EQ(posted.status.MPI_ERROR, unexpected.status.MPI_ERROR);
+        EXPECT_EQ(posted.bytes, unexpected.bytes);
+        EXPECT_EQ(posted.recv_vtime, unexpected.recv_vtime);
+        EXPECT_EQ(posted.send_vtime, unexpected.send_vtime);
+
+        // Both paths agree with what the case must deliver.
+        EXPECT_EQ(posted.status.MPI_SOURCE, 0);
+        EXPECT_EQ(posted.status.MPI_TAG, 7);
+        EXPECT_GT(posted.recv_vtime, 0.0);
+        std::vector<int> want(32, -1);
+        switch (c) {
+            case RecvCase::zero_count:
+                EXPECT_EQ(posted.bytes, 0);
+                break;
+            case RecvCase::vector_type:
+                for (int i = 0; i < 8; ++i) want[static_cast<std::size_t>(2 * i)] = 100 + i;
+                EXPECT_EQ(posted.bytes, 32);
+                break;
+            case RecvCase::truncation:
+                std::iota(want.begin(), want.begin() + 8, 100);
+                EXPECT_EQ(posted.error, MPI_ERR_TRUNCATE);
+                EXPECT_EQ(posted.status.MPI_ERROR, MPI_ERR_TRUNCATE);
+                break;
+            default:
+                std::iota(want.begin(), want.begin() + 16, 100);
+                EXPECT_EQ(posted.bytes, 64);
+                break;
+        }
+        if (c != RecvCase::truncation) {
+            EXPECT_EQ(posted.error, MPI_SUCCESS);
+        }
+        EXPECT_EQ(posted.buf, want);
+    }
 }
 
 // ---------------------------------------------------------------------------
