@@ -74,6 +74,7 @@ NodeInfo const& node_info(MPI_Comm comm) {
     auto ni = std::make_unique<NodeInfo>();
     int const p = comm->size();
     ni->node_of.assign(static_cast<std::size_t>(p), 0);
+    ni->index_in_node.assign(static_cast<std::size_t>(p), 0);
     auto const& world_map = comm->universe->node_of_world;
     if (world_map.empty()) {
         // Flat topology: every rank is its own node. Short-circuit the
@@ -101,8 +102,10 @@ NodeInfo const& node_info(MPI_Comm comm) {
             dense_of.emplace(wn, static_cast<int>(ni->members.size()));
         if (inserted) ni->members.emplace_back();
         int const dense = it->second;
+        auto& node = ni->members[static_cast<std::size_t>(dense)];
         ni->node_of[static_cast<std::size_t>(r)] = dense;
-        ni->members[static_cast<std::size_t>(dense)].push_back(r);
+        ni->index_in_node[static_cast<std::size_t>(r)] = static_cast<int>(node.size());
+        node.push_back(r);
     }
     ni->my_node = ni->node_of[static_cast<std::size_t>(comm->rank())];
     ni->max_ppn = 1;

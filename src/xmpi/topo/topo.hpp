@@ -60,6 +60,9 @@ struct NodeInfo {
     std::vector<std::vector<int>> members;
     /// comm rank -> dense node index.
     std::vector<int> node_of;
+    /// comm rank -> its index within its node's member list (0 = the node
+    /// leader), so builders find a rank's slot without scanning `members`.
+    std::vector<int> index_in_node;
     int my_node = 0;
     int max_ppn = 1;
     int min_ppn = 1;

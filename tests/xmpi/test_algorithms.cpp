@@ -1338,6 +1338,75 @@ TEST(Algorithms, PipelinedSegmentSweepByteIdentical) {
     }
 }
 
+// ---------------------------------------------------------------------------
+// Hierarchical alltoall with mixed send/receive shapes: `count` MPI_INTs per
+// destination arrive as one contiguous(count, MPI_INT) element. Segmenting
+// needs the same block shape on both sides, so these run the one-segment
+// composition even under a segment pin — the path where members send and
+// receive their user rows directly. Results must match the flat reference
+// in every execution flavor, on equal and ragged node shapes.
+// ---------------------------------------------------------------------------
+
+TEST(Algorithms, HierarchicalAlltoallMixedShapes) {
+    using testing_utils::SegPin;
+    struct Shape {
+        int p;
+        int rpn;
+    };
+    Shape const shapes[] = {{8, 4}, {11, 4}, {10, 3}};
+    int const count = 5;
+    for (auto const& sh : shapes) {
+        TopoPin const topo(sh.rpn);
+        for (long long seg : {0LL, 4LL}) {
+            SegPin const pin(seg);
+            for (Exec mode : kExecModes) {
+                auto run_alg = [&](char const* alg) {
+                    return with_alg("alltoall", alg, [&] {
+                        PerRank<int> out(static_cast<std::size_t>(sh.p));
+                        xmpi::run(sh.p, [&](int r) {
+                            MPI_Datatype block = MPI_DATATYPE_NULL;
+                            ASSERT_EQ(MPI_Type_contiguous(count, MPI_INT, &block), MPI_SUCCESS);
+                            ASSERT_EQ(MPI_Type_commit(&block), MPI_SUCCESS);
+                            std::vector<int> send(static_cast<std::size_t>(sh.p * count));
+                            std::vector<int> recv(send.size(), -1);
+                            for (std::size_t i = 0; i < send.size(); ++i)
+                                send[i] = 1000 * r + static_cast<int>(i);
+                            MPI_Request req = MPI_REQUEST_NULL;
+                            if (mode == Exec::block) {
+                                ASSERT_EQ(MPI_Alltoall(send.data(), count, MPI_INT, recv.data(),
+                                                       1, block, MPI_COMM_WORLD),
+                                          MPI_SUCCESS);
+                            } else if (mode == Exec::nb) {
+                                ASSERT_EQ(MPI_Ialltoall(send.data(), count, MPI_INT, recv.data(),
+                                                        1, block, MPI_COMM_WORLD, &req),
+                                          MPI_SUCCESS);
+                                drive(req);
+                            } else {
+                                ASSERT_EQ(MPI_Alltoall_init(send.data(), count, MPI_INT,
+                                                            recv.data(), 1, block, MPI_COMM_WORLD,
+                                                            MPI_INFO_NULL, &req),
+                                          MPI_SUCCESS);
+                                for (int k = 0; k < kPersistRounds; ++k) {
+                                    for (int& x : send) x += 7;
+                                    ASSERT_EQ(MPI_Start(&req), MPI_SUCCESS);
+                                    ASSERT_EQ(MPI_Wait(&req, MPI_STATUS_IGNORE), MPI_SUCCESS);
+                                }
+                                ASSERT_EQ(MPI_Request_free(&req), MPI_SUCCESS);
+                            }
+                            ASSERT_EQ(MPI_Type_free(&block), MPI_SUCCESS);
+                            out[static_cast<std::size_t>(r)] = recv;
+                        });
+                        return out;
+                    });
+                };
+                EXPECT_EQ(run_alg("hierarchical"), run_alg("flat"))
+                    << "p=" << sh.p << " rpn=" << sh.rpn << " seg=" << seg
+                    << " mode=" << mode_name(mode);
+            }
+        }
+    }
+}
+
 TEST(Algorithms, UnknownEnvAlgorithmWarnsOnceAndFallsBack) {
     // The XMPI_ALG_* channel must not silently ignore typos: an unknown
     // name warns once on stderr (naming the valid choices) and falls back

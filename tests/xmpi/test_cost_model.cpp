@@ -134,9 +134,16 @@ TEST(CostModel, ComputeScaleMultipliesLocalWork) {
     };
     xmpi::Config normal, doubled;
     doubled.compute_scale = 2.0;
-    auto const t1 = xmpi::run(1, work, normal).max_vtime;
-    auto const t2 = xmpi::run(1, work, doubled).max_vtime;
-    EXPECT_NEAR(t2 / t1, 2.0, 0.6);
+    // Thread CPU time of one run drifts under host load, so the ratio is
+    // the median over alternating scale-1/scale-2 pairs.
+    std::vector<double> ratios;
+    for (int i = 0; i < 5; ++i) {
+        auto const t1 = xmpi::run(1, work, normal).max_vtime;
+        auto const t2 = xmpi::run(1, work, doubled).max_vtime;
+        ratios.push_back(t2 / t1);
+    }
+    std::nth_element(ratios.begin(), ratios.begin() + 2, ratios.end());
+    EXPECT_NEAR(ratios[2], 2.0, 0.6);
 }
 
 TEST(CostModel, VirtualClocksAreMonotonicPerRank) {

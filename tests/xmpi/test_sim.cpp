@@ -340,6 +340,9 @@ TEST(SimModelMatch, AutoSelectedFlatAlgorithmsWithinFivePercent) {
 }
 
 TEST(SimShapes, RaggedNodeSizesSimulateCleanly) {
+    // Auto selection: an inherited XMPI_ALG_* pin (e.g. ring allreduce,
+    // which the tag budget correctly refuses at 1000 ranks) is scrubbed.
+    ScrubAlgEnv const scrub;
     std::vector<int> sizes;
     for (int n = 0; n < 250; ++n) sizes.push_back(n % 2 == 0 ? 3 : 5);
     sim::World w;
