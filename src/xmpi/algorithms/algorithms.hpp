@@ -230,24 +230,12 @@ inline std::byte const* at_offset(void const* base, long long elements, MPI_Data
     return static_cast<std::byte const*>(base) + elements * t->extent;
 }
 
-/// Copies `scount` elements of `stype` between (possibly differently typed
-/// but signature-compatible) user buffers via pack/unpack.
-inline void local_copy(void const* src, int scount, MPI_Datatype stype, void* dst,
-                       MPI_Datatype rtype) {
-    std::size_t const bytes =
-        static_cast<std::size_t>(scount) * static_cast<std::size_t>(stype->size);
-    if (bytes == 0) return;
-    std::vector<std::byte> tmp(bytes);
-    stype->pack(src, scount, tmp.data());
-    rtype->unpack(tmp.data(), rtype->size > 0 ? static_cast<int>(bytes / rtype->size) : 0, dst);
-}
-
-/// Appends local_copy as an execution-time step, so a restarted schedule
+/// Appends a typed_copy as an execution-time step, so a restarted schedule
 /// re-reads the source current at that start.
 inline void append_copy(Schedule& s, void const* src, int scount, MPI_Datatype stype, void* dst,
                         MPI_Datatype rtype) {
     s.local([=] {
-        local_copy(src, scount, stype, dst, rtype);
+        typed_copy(src, scount, stype, dst, rtype);
         return MPI_SUCCESS;
     });
 }

@@ -296,7 +296,8 @@ void gather_to_leader(Schedule& s, NodeView const& v, Route route, Block&& block
 /// the parent's read completes (ack) before the leader can publish onward,
 /// and the final drain precedes any buffer reuse. A single-rank node
 /// snapshots its input as a schedule step (not at build time), keeping the
-/// builder composable with execution-produced inputs.
+/// builder composable with execution-produced inputs. No member but the
+/// leader touches `out`, so it may be null there.
 void tree_reduce(Schedule& s, NodeView const& v, Route route, void const* input, void* out,
                  int count, MPI_Datatype type, MPI_Op op) {
     std::size_t const bytes =
@@ -495,8 +496,9 @@ int build_hier_reduce(Schedule& s, void const* input, void* recvbuf, int count, 
         shm::enabled() && bench::model::reduce_hier(v.t, v.shape, pd, mb, /*shm=*/true) <
                               bench::model::reduce_hier(v.t, v.shape, pd, mb, /*shm=*/false);
 
-    // Phase A: reduce this node's contributions to its leader.
-    std::byte* const node_acc = s.alloc(bytes);
+    // Phase A: reduce this node's contributions to its leader (tree_reduce
+    // writes `out` on the leader only, so only the leader allocates it).
+    std::byte* const node_acc = v.leader() ? s.alloc(bytes) : nullptr;
     tree_reduce(s, v, {use_shm, kIntraUp, kIntraUp}, input, node_acc, count, type, op);
 
     // Phase B: reduce the node results among leaders toward the root node's
@@ -618,8 +620,8 @@ void build_hier_allreduce_leader(Schedule& s, void const* input, void* recvbuf, 
                                          /*elementwise=*/false, /*shm=*/false);
 
     // Phase A: intra-node reduce to the leader (byte-identical fold
-    // bracketing under either transport).
-    std::byte* const node_acc = s.alloc(bytes);
+    // bracketing under either transport); only the leader reads node_acc.
+    std::byte* const node_acc = v.leader() ? s.alloc(bytes) : nullptr;
     tree_reduce(s, v, {use_shm, kIntraUp, kIntraUp}, input, node_acc, count, type, op);
 
     // Phase B: allreduce among leaders (rank-order-safe inner algorithm for

@@ -11,27 +11,6 @@
 
 namespace xmpi::detail::alg {
 
-namespace {
-
-/// Layout-aware single copy between two buffers of the same datatype: a
-/// straight memcpy for contiguous layouts; pack + unpack through a transient
-/// staging vector otherwise (still one modeled copy — the staging detour is
-/// a host-memory implementation detail, like the p2p envelope).
-void copy_typed(void* dst, void const* src, int count, MPI_Datatype t) {
-    if (count <= 0 || t->size == 0) return;
-    std::size_t const packed =
-        static_cast<std::size_t>(count) * static_cast<std::size_t>(t->size);
-    if (t->is_builtin || (t->extent == t->size && t->lb == 0)) {
-        std::memcpy(dst, src, packed);
-        return;
-    }
-    std::vector<std::byte> tmp(packed);
-    t->pack(src, count, tmp.data());
-    t->unpack(tmp.data(), count, dst);
-}
-
-}  // namespace
-
 std::byte* Schedule::alloc(std::size_t bytes) {
     if (bytes == 0) return nullptr;
     // Bump allocation with 16-byte alignment. The first chunk is sized at
@@ -247,7 +226,7 @@ bool Schedule::advance(bool blocking, int* err) {
                     static_cast<std::byte const*>(st.cell->ptr) + st.src_off;
                 std::uint64_t const bytes = static_cast<std::uint64_t>(st.count) *
                                             static_cast<std::uint64_t>(st.type->size);
-                copy_typed(st.rbuf, src, st.count, st.type);
+                typed_copy(src, st.count, st.type, st.rbuf, st.type);
                 shm::ack(*shm_block_, *st.cell);
                 // The producer (possibly engine-driven) may be parked in
                 // wait_drained on this cell.

@@ -271,7 +271,7 @@ int allgather(void const* sendbuf, int sendcount, MPI_Datatype sendtype, void* r
     // start with the own block in place; a persistent schedule copies it
     // per start instead.
     if (copy_own && f != Flavor::persistent)
-        alg::local_copy(sendbuf, sendcount, sendtype, own, recvtype);
+        typed_copy(sendbuf, sendcount, sendtype, own, recvtype);
     if (f == Flavor::blocking && comm->size() == 1) return MPI_SUCCESS;
     std::size_t const bytes =
         static_cast<std::size_t>(recvcount) * static_cast<std::size_t>(recvtype->size);

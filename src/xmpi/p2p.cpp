@@ -71,8 +71,9 @@ void fill_recv(xmpi_request_t* pr, Envelope const& env) {
 
 /// True when a `bytes`-byte payload can be packed straight into `pr`'s
 /// buffer with the result fill_recv would produce: the receive type is
-/// flat and the payload is whole elements of it that fit. Truncating and
-/// non-flat receives keep the envelope path.
+/// dense (a builtin, or a derived type such as a gap-free pair or struct)
+/// and the payload is whole elements of it that fit. Truncating and
+/// non-dense receives keep the envelope path.
 bool fits_direct(xmpi_request_t const* pr, std::size_t bytes) {
     if (bytes == 0) return true;
     auto const elem = static_cast<std::size_t>(pr->type->size);

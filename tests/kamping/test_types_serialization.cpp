@@ -11,8 +11,10 @@
 #include <numeric>
 #include <optional>
 #include <set>
+#include <utility>
 #include <string>
 #include <tuple>
+#include <type_traits>
 #include <unordered_map>
 #include <vector>
 
@@ -171,6 +173,101 @@ TEST(Datatypes, PairsWorkInCollectives) {
             EXPECT_EQ(all[r].second, r * 10);
         }
     });
+}
+
+namespace {
+
+// A reflected aggregate with 3 + 4 bytes of padding: its struct type is
+// segmented, not dense.
+struct PaddedRecord {
+    std::uint8_t tag;
+    std::uint32_t value;
+    std::uint64_t key;
+
+    friend bool operator==(PaddedRecord const&, PaddedRecord const&) = default;
+};
+
+using U64Pair = std::pair<std::uint64_t, std::uint64_t>;
+
+/// Element j of the block rank `from` addresses to rank `to` (-1: to all).
+template <typename T>
+T element(int from, int to, int j) {
+    auto const a = static_cast<std::uint64_t>(from);
+    auto const b = static_cast<std::uint64_t>(to + 1);
+    auto const c = static_cast<std::uint64_t>(j);
+    if constexpr (std::is_same_v<T, U64Pair>) {
+        return {a * 1000003 + b * 1009 + c, ~(a << 40 | b << 20 | c)};
+    } else {
+        return {static_cast<std::uint8_t>(a * 16 + b), static_cast<std::uint32_t>(c * 7 + b),
+                a << 48 | b << 24 | c};
+    }
+}
+
+/// Alltoallv, allgatherv and a send/recv ring of `T` on 4 ranks, each
+/// result compared element-wise with the expected values. Rank r sends
+/// (r + i) % 3 + 1 elements to rank i; the ring's receives are posted
+/// before the matching send on odd ranks.
+template <typename T>
+void exchange_typed() {
+    xmpi::run(4, [](int rank) {
+        Communicator comm;
+        int const p = 4;
+        auto nto = [](int from, int to) { return (from + to) % 3 + 1; };
+
+        std::vector<T> send;
+        std::vector<int> counts;
+        for (int i = 0; i < p; ++i) {
+            counts.push_back(nto(rank, i));
+            for (int j = 0; j < nto(rank, i); ++j) send.push_back(element<T>(rank, i, j));
+        }
+        auto const got = comm.alltoallv(send_buf(send), send_counts(counts));
+        std::vector<T> want;
+        for (int s = 0; s < p; ++s)
+            for (int j = 0; j < nto(s, rank); ++j) want.push_back(element<T>(s, rank, j));
+        ASSERT_EQ(got.size(), want.size());
+        for (std::size_t k = 0; k < want.size(); ++k) EXPECT_EQ(got[k], want[k]) << "alltoallv " << k;
+
+        std::vector<T> mine;
+        for (int j = 0; j <= rank; ++j) mine.push_back(element<T>(rank, -1, j));
+        auto const all = comm.allgatherv(send_buf(mine));
+        std::vector<T> want_all;
+        for (int s = 0; s < p; ++s)
+            for (int j = 0; j <= s; ++j) want_all.push_back(element<T>(s, -1, j));
+        ASSERT_EQ(all.size(), want_all.size());
+        for (std::size_t k = 0; k < want_all.size(); ++k)
+            EXPECT_EQ(all[k], want_all[k]) << "allgatherv " << k;
+
+        int const next = (rank + 1) % p;
+        int const prev = (rank + p - 1) % p;
+        std::vector<T> out;
+        for (int j = 0; j < 5; ++j) out.push_back(element<T>(rank, next, j));
+        std::vector<T> in;
+        if (rank % 2 == 1) {
+            auto req = comm.irecv<T>(recv_count(5), source(prev));
+            comm.send(send_buf(out), destination(next));
+            in = req.wait();
+        } else {
+            comm.send(send_buf(out), destination(next));
+            in = comm.recv<T>(source(prev));
+        }
+        ASSERT_EQ(in.size(), 5u);
+        for (int j = 0; j < 5; ++j)
+            EXPECT_EQ(in[static_cast<std::size_t>(j)], element<T>(prev, rank, j)) << "ring " << j;
+    });
+}
+
+}  // namespace
+
+template <>
+struct kamping::mpi_type_traits<PaddedRecord> : kamping::struct_type<PaddedRecord> {};
+
+TEST(Datatypes, PairExchangesMatchExpected) { exchange_typed<U64Pair>(); }
+
+TEST(Datatypes, PaddedStructExchangesMatchExpected) {
+    int size = 0;
+    MPI_Type_size(mpi_datatype<PaddedRecord>(), &size);
+    ASSERT_EQ(size, 13);  // 1 + 4 + 8 bytes of data in a 16-byte object
+    exchange_typed<PaddedRecord>();
 }
 
 TEST(Datatypes, DynamicTypeViaNativeConstructors) {

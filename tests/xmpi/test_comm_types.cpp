@@ -1,13 +1,20 @@
 /// @file test_comm_types.cpp
 /// @brief Communicator management, derived datatypes (pack/unpack round
-/// trips), topology/neighborhood collectives and ULFM fault injection.
+/// trips, and the compiled layouts checked against a recursive reference
+/// walk), topology/neighborhood collectives and ULFM fault injection.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
+#include <cstdint>
 #include <cstring>
 #include <numeric>
+#include <random>
+#include <utility>
 #include <vector>
 
+#include "kamping/mpi_datatype.hpp"
+#include "src/xmpi/internal.hpp"
 #include "xmpi/mpi.h"
 #include "xmpi/xmpi.hpp"
 
@@ -234,6 +241,385 @@ TEST(Types, ContiguousBytesForTriviallyCopyable) {
         }
         MPI_Type_free(&bytes);
     });
+}
+
+// ---------------------------------------------------------------------------
+// Compiled datatype layouts vs. the recursive reference walk
+// ---------------------------------------------------------------------------
+
+namespace {
+
+using xmpi::detail::DatatypeImpl;
+using Layout = DatatypeImpl::Layout;
+
+/// The recursive pack/unpack the datatype engine used before layouts were
+/// compiled at construction, kept verbatim (per-level flat check included)
+/// as the reference every layout must reproduce byte for byte.
+bool ref_is_flat(DatatypeImpl const& t) {
+    if (t.is_builtin) return true;
+    if (t.extent != t.size || t.lb != 0) return false;
+    switch (t.kind) {
+        case DatatypeImpl::Kind::builtin: return true;
+        case DatatypeImpl::Kind::contiguous: return ref_is_flat(*t.child);
+        default: return false;
+    }
+}
+
+void ref_pack(DatatypeImpl const& t, void const* src, int n, std::byte* dst) {
+    auto const* s = static_cast<std::byte const*>(src);
+    if (ref_is_flat(t)) {
+        std::memcpy(dst, s, static_cast<std::size_t>(n) * static_cast<std::size_t>(t.size));
+        return;
+    }
+    for (int e = 0; e < n; ++e) {
+        std::byte const* base = s + static_cast<std::ptrdiff_t>(e) * t.extent;
+        switch (t.kind) {
+            case DatatypeImpl::Kind::builtin:
+                std::memcpy(dst, base, static_cast<std::size_t>(t.size));
+                dst += t.size;
+                break;
+            case DatatypeImpl::Kind::contiguous:
+                ref_pack(*t.child, base, t.count, dst);
+                dst += static_cast<std::size_t>(t.count) * static_cast<std::size_t>(t.child->size);
+                break;
+            case DatatypeImpl::Kind::vector:
+                for (int b = 0; b < t.count; ++b) {
+                    ref_pack(*t.child, base + static_cast<std::ptrdiff_t>(b) * t.stride * t.child->extent,
+                             t.blocklength, dst);
+                    dst += static_cast<std::size_t>(t.blocklength) *
+                           static_cast<std::size_t>(t.child->size);
+                }
+                break;
+            case DatatypeImpl::Kind::indexed:
+                for (std::size_t b = 0; b < t.blocklengths.size(); ++b) {
+                    ref_pack(*t.child, base + t.displacements[b] * t.child->extent,
+                             t.blocklengths[b], dst);
+                    dst += static_cast<std::size_t>(t.blocklengths[b]) *
+                           static_cast<std::size_t>(t.child->size);
+                }
+                break;
+            case DatatypeImpl::Kind::strct:
+                for (std::size_t b = 0; b < t.blocklengths.size(); ++b) {
+                    ref_pack(*t.children[b], base + t.displacements[b] - t.lb, t.blocklengths[b],
+                             dst);
+                    dst += static_cast<std::size_t>(t.blocklengths[b]) *
+                           static_cast<std::size_t>(t.children[b]->size);
+                }
+                break;
+        }
+    }
+}
+
+void ref_unpack(DatatypeImpl const& t, std::byte const* src, int n, void* dst) {
+    auto* d = static_cast<std::byte*>(dst);
+    if (ref_is_flat(t)) {
+        std::memcpy(d, src, static_cast<std::size_t>(n) * static_cast<std::size_t>(t.size));
+        return;
+    }
+    for (int e = 0; e < n; ++e) {
+        std::byte* base = d + static_cast<std::ptrdiff_t>(e) * t.extent;
+        switch (t.kind) {
+            case DatatypeImpl::Kind::builtin:
+                std::memcpy(base, src, static_cast<std::size_t>(t.size));
+                src += t.size;
+                break;
+            case DatatypeImpl::Kind::contiguous:
+                ref_unpack(*t.child, src, t.count, base);
+                src += static_cast<std::size_t>(t.count) * static_cast<std::size_t>(t.child->size);
+                break;
+            case DatatypeImpl::Kind::vector:
+                for (int b = 0; b < t.count; ++b) {
+                    ref_unpack(*t.child, src, t.blocklength,
+                               base + static_cast<std::ptrdiff_t>(b) * t.stride * t.child->extent);
+                    src += static_cast<std::size_t>(t.blocklength) *
+                           static_cast<std::size_t>(t.child->size);
+                }
+                break;
+            case DatatypeImpl::Kind::indexed:
+                for (std::size_t b = 0; b < t.blocklengths.size(); ++b) {
+                    ref_unpack(*t.child, src, t.blocklengths[b],
+                               base + t.displacements[b] * t.child->extent);
+                    src += static_cast<std::size_t>(t.blocklengths[b]) *
+                           static_cast<std::size_t>(t.child->size);
+                }
+                break;
+            case DatatypeImpl::Kind::strct:
+                for (std::size_t b = 0; b < t.blocklengths.size(); ++b) {
+                    ref_unpack(*t.children[b], src, t.blocklengths[b],
+                               base + t.displacements[b] - t.lb);
+                    src += static_cast<std::size_t>(t.blocklengths[b]) *
+                           static_cast<std::size_t>(t.children[b]->size);
+                }
+                break;
+        }
+    }
+}
+
+/// Byte range [lo, hi) one element at offset `off` touches, by the same
+/// walk as ref_pack (lo > hi when it touches nothing).
+void ref_bounds(DatatypeImpl const& t, MPI_Aint off, MPI_Aint& lo, MPI_Aint& hi) {
+    auto elems = [&](DatatypeImpl const& c, MPI_Aint at, int n) {
+        for (int j = 0; j < n; ++j) ref_bounds(c, at + j * c.extent, lo, hi);
+    };
+    switch (t.kind) {
+        case DatatypeImpl::Kind::builtin:
+            lo = std::min(lo, off);
+            hi = std::max(hi, off + t.size);
+            break;
+        case DatatypeImpl::Kind::contiguous: elems(*t.child, off, t.count); break;
+        case DatatypeImpl::Kind::vector:
+            for (int b = 0; b < t.count; ++b)
+                elems(*t.child, off + static_cast<MPI_Aint>(b) * t.stride * t.child->extent,
+                      t.blocklength);
+            break;
+        case DatatypeImpl::Kind::indexed:
+            for (std::size_t b = 0; b < t.blocklengths.size(); ++b)
+                elems(*t.child, off + t.displacements[b] * t.child->extent, t.blocklengths[b]);
+            break;
+        case DatatypeImpl::Kind::strct:
+            for (std::size_t b = 0; b < t.blocklengths.size(); ++b)
+                elems(*t.children[b], off + t.displacements[b] - t.lb, t.blocklengths[b]);
+            break;
+    }
+}
+
+/// Memory holding `n` elements of `t` with guard bytes on both sides, all
+/// filled from `rng`; element 0 starts at `base()`.
+struct TypedBuffer {
+    TypedBuffer(DatatypeImpl const& t, int n, std::mt19937& rng) {
+        MPI_Aint lo = 0, hi = 0;
+        ref_bounds(t, 0, lo, hi);
+        MPI_Aint const span = static_cast<MPI_Aint>(std::max(n - 1, 0)) * t.extent;
+        lo += std::min<MPI_Aint>(0, span);
+        hi += std::max<MPI_Aint>(0, span);
+        bytes.resize(static_cast<std::size_t>(hi - lo + 2 * kGuard));
+        for (auto& b : bytes) b = static_cast<std::byte>(rng());
+        origin = kGuard - lo;
+    }
+    std::byte* base() { return bytes.data() + origin; }
+    static constexpr MPI_Aint kGuard = 64;
+    std::vector<std::byte> bytes;
+    MPI_Aint origin;
+};
+
+/// Seeded random type trees: contiguous, vector (positive and negative
+/// stride), indexed (zero-length blocks allowed), struct (in-order,
+/// padded or shuffled members) and resized (lb may be nonzero), nested up
+/// to `depth` levels over a few builtins. A `wide` forest also draws
+/// leaves of 100-300 separate chars, so its trees cross the segment cap.
+/// Owns every type it builds.
+struct TypeForest {
+    explicit TypeForest(unsigned seed) : rng(seed) {}
+    ~TypeForest() {
+        for (auto& t : built) MPI_Type_free(&t);
+    }
+    TypeForest(TypeForest const&) = delete;
+    TypeForest& operator=(TypeForest const&) = delete;
+
+    int pick(int lo, int hi) { return std::uniform_int_distribution<int>(lo, hi)(rng); }
+
+    MPI_Datatype keep(MPI_Datatype t) {
+        MPI_Type_commit(&t);
+        built.push_back(t);
+        return t;
+    }
+
+    MPI_Datatype make(int depth) {
+        static MPI_Datatype const leaves[] = {MPI_CHAR, MPI_SHORT, MPI_INT, MPI_DOUBLE,
+                                              MPI_UINT64_T};
+        MPI_Datatype t = MPI_DATATYPE_NULL;
+        if (depth == 0 && wide && pick(0, 1) == 0) {
+            MPI_Type_vector(pick(100, 300), 1, 2, MPI_CHAR, &t);
+            return keep(t);
+        }
+        if (depth == 0 || pick(0, 5) == 0) return leaves[pick(0, 4)];
+        switch (pick(0, 4)) {
+            case 0: MPI_Type_contiguous(pick(0, 3), make(depth - 1), &t); break;
+            case 1: {
+                int const count = pick(0, 3);
+                int const bl = pick(0, 2);
+                MPI_Type_vector(count, bl, pick(-3, 3), make(depth - 1), &t);
+                break;
+            }
+            case 2: {
+                int const count = pick(0, 3);
+                std::vector<int> bl, displs;
+                for (int i = 0; i < count; ++i) {
+                    bl.push_back(pick(0, 2));
+                    displs.push_back(pick(0, 5));
+                }
+                MPI_Type_indexed(count, bl.data(), displs.data(), make(depth - 1), &t);
+                break;
+            }
+            case 3: {
+                int const count = pick(1, 3);
+                int const mode = pick(0, 2);  // in order, padded, shuffled
+                std::vector<int> bl;
+                std::vector<MPI_Aint> displs;
+                std::vector<MPI_Datatype> types;
+                MPI_Aint at = 0;
+                for (int i = 0; i < count; ++i) {
+                    types.push_back(make(depth - 1));
+                    bl.push_back(pick(0, 2));
+                    if (mode == 1) at += pick(0, 8);
+                    displs.push_back(at);
+                    at += bl.back() * std::max<MPI_Aint>(types.back()->extent, 0);
+                }
+                if (mode == 2) std::shuffle(displs.begin(), displs.end(), rng);
+                MPI_Type_create_struct(count, bl.data(), displs.data(), types.data(), &t);
+                break;
+            }
+            default: {
+                MPI_Datatype const child = make(depth - 1);
+                MPI_Type_create_resized(child, pick(-8, 8),
+                                        std::max<MPI_Aint>(child->extent, 0) + pick(0, 8), &t);
+                break;
+            }
+        }
+        return keep(t);
+    }
+
+    std::mt19937 rng;
+    bool wide = false;
+    std::vector<MPI_Datatype> built;
+};
+
+/// Seeds 1-300 build 3-deep trees; 301-400 build wide 1-deep ones (kept
+/// shallow so 1000 elements stay a few MiB).
+MPI_Datatype make_tree(TypeForest& forest, unsigned seed) {
+    forest.wide = seed > 300;
+    return forest.make(forest.wide ? 1 : 3);
+}
+
+/// Asserts pack, unpack and typed_copy of `n` elements of `t` are
+/// byte-identical to the reference walk, guard bytes included.
+void expect_matches_reference(MPI_Datatype t, int n, std::mt19937& rng) {
+    std::size_t const packed = static_cast<std::size_t>(n) * static_cast<std::size_t>(t->size);
+    TypedBuffer src(*t, n, rng);
+    std::vector<std::byte> want(packed + 16, std::byte{0x5a});
+    std::vector<std::byte> got(want);
+    ref_pack(*t, src.base(), n, want.data());
+    t->pack(src.base(), n, got.data());
+    ASSERT_EQ(got, want) << "pack, n=" << n;
+
+    TypedBuffer const fresh(*t, n, rng);  // every destination starts as this
+    TypedBuffer ref_dst = fresh;
+    TypedBuffer dst = fresh;
+    ref_unpack(*t, want.data(), n, ref_dst.base());
+    t->unpack(want.data(), n, dst.base());
+    ASSERT_EQ(dst.bytes, ref_dst.bytes) << "unpack, n=" << n;
+
+    // typed_copy to the same type and to the packed bytes, both ways.
+    TypedBuffer same = fresh;
+    xmpi::detail::typed_copy(src.base(), n, t, same.base(), t);
+    ASSERT_EQ(same.bytes, ref_dst.bytes) << "typed_copy same type, n=" << n;
+    if (t->size > 0) {
+        MPI_Datatype bytes_t = MPI_DATATYPE_NULL;
+        MPI_Type_contiguous(t->size, MPI_BYTE, &bytes_t);
+        std::vector<std::byte> flat(want.size(), std::byte{0x5a});
+        xmpi::detail::typed_copy(src.base(), n, t, flat.data(), bytes_t);
+        ASSERT_EQ(flat, want) << "typed_copy to bytes, n=" << n;
+        TypedBuffer back = fresh;
+        xmpi::detail::typed_copy(want.data(), n, bytes_t, back.base(), t);
+        ASSERT_EQ(back.bytes, ref_dst.bytes) << "typed_copy from bytes, n=" << n;
+        MPI_Type_free(&bytes_t);
+    }
+}
+
+}  // namespace
+
+TEST(TypeLayout, RandomTreesMatchRecursiveReference) {
+    for (unsigned seed = 1; seed <= 400; ++seed) {
+        TypeForest forest(seed);
+        MPI_Datatype const t = make_tree(forest, seed);
+        std::mt19937 rng(seed);
+        for (int n : {0, 1, 7, 1000}) {
+            SCOPED_TRACE(testing::Message() << "seed " << seed << " size " << t->size
+                                            << " extent " << t->extent << " lb " << t->lb);
+            expect_matches_reference(t, n, rng);
+            if (testing::Test::HasFatalFailure()) return;
+        }
+    }
+}
+
+TEST(TypeLayout, RandomTreesReachEveryLayout) {
+    int seen[3] = {0, 0, 0};
+    for (unsigned seed = 1; seed <= 400; ++seed) {
+        TypeForest forest(seed);
+        ++seen[static_cast<int>(make_tree(forest, seed)->layout)];
+    }
+    EXPECT_GT(seen[static_cast<int>(Layout::dense)], 0);
+    EXPECT_GT(seen[static_cast<int>(Layout::segmented)], 0);
+    EXPECT_GT(seen[static_cast<int>(Layout::recursive)], 0);
+}
+
+TEST(TypeLayout, DenseTypes) {
+    using U64Pair = std::pair<std::uint64_t, std::uint64_t>;
+    EXPECT_TRUE(kamping::mpi_datatype<U64Pair>()->flat());
+    EXPECT_TRUE(MPI_INT->flat());
+
+    MPI_Datatype four;
+    MPI_Type_contiguous(4, MPI_INT, &four);
+    EXPECT_TRUE(four->flat());
+
+    // Padding-free struct {int, float, double} wrapped like struct_type<T>.
+    int bl[] = {1, 1, 1};
+    MPI_Aint displs[] = {0, 4, 8};
+    MPI_Datatype fields[] = {MPI_INT, MPI_FLOAT, MPI_DOUBLE};
+    MPI_Datatype raw, packed;
+    MPI_Type_create_struct(3, bl, displs, fields, &raw);
+    MPI_Type_create_resized(raw, 0, 16, &packed);
+    EXPECT_TRUE(packed->flat());
+
+    // Blocks abutting is enough only when pack order is memory order.
+    MPI_Aint swapped_displs[] = {4, 0};
+    int bl2[] = {1, 1};
+    MPI_Datatype ints[] = {MPI_INT, MPI_INT};
+    MPI_Datatype swapped;
+    MPI_Type_create_struct(2, bl2, swapped_displs, ints, &swapped);
+    EXPECT_FALSE(swapped->flat());
+    EXPECT_EQ(swapped->layout, Layout::segmented);
+
+    MPI_Datatype shifted;
+    MPI_Type_create_resized(MPI_INT, -4, 8, &shifted);
+    EXPECT_FALSE(shifted->flat());
+    EXPECT_EQ(shifted->layout, Layout::segmented);
+
+    for (MPI_Datatype* t : {&four, &raw, &packed, &swapped, &shifted}) MPI_Type_free(t);
+}
+
+TEST(TypeLayout, OverCapTypeRoundTrips) {
+    // Every other int of 300: 300 runs, over the segment cap, so the type
+    // keeps the recursive walk (and so does anything built on it).
+    MPI_Datatype sparse, twice;
+    MPI_Type_vector(300, 1, 2, MPI_INT, &sparse);
+    MPI_Type_contiguous(2, sparse, &twice);
+    MPI_Type_commit(&sparse);
+    MPI_Type_commit(&twice);
+    ASSERT_GT(300u, DatatypeImpl::kMaxSegments);
+    EXPECT_EQ(sparse->layout, Layout::recursive);
+    EXPECT_EQ(twice->layout, Layout::recursive);
+    std::mt19937 rng(7);
+    for (int n : {0, 1, 7}) {
+        expect_matches_reference(sparse, n, rng);
+        expect_matches_reference(twice, n, rng);
+    }
+    xmpi::run(2, [&](int rank) {
+        std::vector<int> buf(1200);
+        if (rank == 0) {
+            std::iota(buf.begin(), buf.end(), 0);
+            MPI_Send(buf.data(), 1, twice, 1, 0, MPI_COMM_WORLD);
+        } else {
+            MPI_Recv(buf.data(), 1, twice, 0, 0, MPI_COMM_WORLD, MPI_STATUS_IGNORE);
+            // sparse spans 599 ints, so the second element starts at int 599.
+            for (int i = 0; i < 1200; ++i) {
+                bool const touched = i < 2 * 599 && (i % 599) % 2 == 0;
+                EXPECT_EQ(buf[static_cast<std::size_t>(i)], touched ? i : 0) << i;
+            }
+        }
+    });
+    MPI_Type_free(&twice);
+    MPI_Type_free(&sparse);
 }
 
 // ---------------------------------------------------------------------------

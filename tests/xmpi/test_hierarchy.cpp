@@ -20,6 +20,7 @@
 
 namespace {
 
+using testing_utils::ShmPin;
 using testing_utils::TopoPin;
 
 /// Pins one family's algorithm for the scope.
@@ -380,6 +381,43 @@ TEST(TopoHier, NonContiguousNodeMembershipStaysCorrect) {
             EXPECT_EQ(sum, 36);
         }
         MPI_Comm_free(&mixed);
+    });
+}
+
+TEST(TopoHier, ReduceNodeAccumulatorOnlyOnLeaders) {
+    // A user-op hierarchical reduce over message-passing intra-node phases:
+    // a non-leader needs only its binomial tree's accumulator and one
+    // receive buffer (2x the vector); the node accumulator is the leader's.
+    TopoPin pin(4);  // 2 nodes x 4 ranks
+    ShmPin shm(0);
+    AlgPin apin("reduce", "hierarchical");
+    int const count = 1 << 19;  // 2 MiB of int
+    std::size_t const vec = static_cast<std::size_t>(count) * sizeof(int);
+    xmpi::run(8, [&](int rank) {
+        MPI_Op sum;
+        ASSERT_EQ(MPI_Op_create(
+                      [](void* in, void* inout, int* len, MPI_Datatype*) {
+                          auto const* a = static_cast<int const*>(in);
+                          auto* b = static_cast<int*>(inout);
+                          for (int i = 0; i < *len; ++i) b[i] += a[i];
+                      },
+                      1, &sum),
+                  MPI_SUCCESS);
+        std::vector<int> in(static_cast<std::size_t>(count), rank + 1), out;
+        if (rank == 0) out.resize(static_cast<std::size_t>(count));
+        ASSERT_EQ(MPI_Reduce(in.data(), out.data(), count, MPI_INT, sum, 0, MPI_COMM_WORLD),
+                  MPI_SUCCESS);
+        EXPECT_EQ(selected("reduce"), "hierarchical");
+        if (rank == 0) {
+            EXPECT_EQ(out.front(), 36);
+            EXPECT_EQ(out.back(), 36);
+        }
+        unsigned long long peak = 0;
+        ASSERT_EQ(XMPI_T_sched_stats(nullptr, nullptr, nullptr, &peak), MPI_SUCCESS);
+        if (rank % 4 != 0) {
+            EXPECT_LE(peak, 2 * vec) << "rank " << rank;
+        }
+        MPI_Op_free(&sum);
     });
 }
 
