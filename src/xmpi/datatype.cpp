@@ -1,8 +1,8 @@
 /// @file datatype.cpp
 /// @brief MPI datatype engine: builtin singletons, derived-type constructors
-/// (contiguous/vector/indexed/struct/resized), the layout each constructor
-/// compiles once (dense, segmented or recursive; see DatatypeImpl::Layout),
-/// and the pack/unpack/typed_copy machinery every transfer goes through.
+/// (contiguous/vector/indexed/struct/resized), the dense flag each
+/// constructor computes once, and the pack/unpack/typed_copy machinery
+/// every transfer goes through.
 #include <cstring>
 #include <new>
 #include <vector>
@@ -13,109 +13,55 @@ namespace xmpi::detail {
 
 namespace {
 
-using Segment = DatatypeImpl::Segment;
-using Layout = DatatypeImpl::Layout;
-
-/// Appends a `len`-byte run at byte offset `off` to `out`, merged into the
-/// previous run when it continues it. False once `out` would exceed the cap.
-bool push_run(std::vector<Segment>& out, MPI_Aint off, MPI_Aint len) {
-    if (len == 0) return true;
-    if (!out.empty() && out.back().off + out.back().len == off) {
-        out.back().len += len;
+/// Whether one element of `t` — its children's flags already computed —
+/// packs to exactly its own memory image (see DatatypeImpl::dense): every
+/// block that holds data is a run of a dense child, and the runs abut in
+/// pack order starting at byte 0.
+bool compute_dense(DatatypeImpl const& t) {
+    if (t.extent != t.size || t.lb != 0) return false;
+    MPI_Aint next = 0;  // byte offset the next run must start at
+    // `n` elements of `c` at byte offset `off`; a dense child's elements
+    // abut, so they are one run.
+    auto run = [&next](DatatypeImpl const& c, MPI_Aint off, MPI_Aint n) {
+        if (n <= 0 || c.size == 0) return true;
+        if (!c.dense || off != next) return false;
+        next += n * c.size;
         return true;
-    }
-    if (out.size() == DatatypeImpl::kMaxSegments) return false;
-    out.push_back({off, len});
-    return true;
-}
-
-/// Appends the runs of `n` consecutive elements of `c` (spaced by its
-/// extent, the first at byte offset `off`) in pack order. False when they
-/// would exceed the cap or `c` itself has no segment list.
-bool push_elems(std::vector<Segment>& out, DatatypeImpl const& c, MPI_Aint off, MPI_Aint n) {
-    if (n <= 0 || c.size == 0) return true;
-    if (c.layout == Layout::dense) return push_run(out, off, n * c.size);
-    if (c.layout == Layout::recursive ||
-        static_cast<std::size_t>(n) * c.segments.size() > DatatypeImpl::kMaxSegments)
-        return false;
-    for (MPI_Aint i = 0; i < n; ++i) {
-        for (Segment const& g : c.segments) {
-            if (!push_run(out, off + i * c.extent + g.off, g.len)) return false;
-        }
-    }
-    return true;
-}
-
-/// Flattens one element of `t` — its children's layouts are already
-/// computed — into the runs the recursive walk would copy, in the same
-/// order, and classifies the result (see DatatypeImpl::Layout).
-void compute_layout(DatatypeImpl& t) {
-    std::vector<Segment> segs;
-    bool ok = true;
+    };
     switch (t.kind) {
         case DatatypeImpl::Kind::builtin:
-            ok = push_run(segs, 0, t.size);
-            break;
+            return true;
         case DatatypeImpl::Kind::contiguous:
-            ok = push_elems(segs, *t.child, 0, t.count);
-            break;
+            return run(*t.child, 0, t.count);
         case DatatypeImpl::Kind::vector:
-            if (t.stride == t.blocklength) {
-                // Abutting blocks are one run of count * blocklength children.
-                ok = push_elems(segs, *t.child, 0,
-                                static_cast<MPI_Aint>(t.count) * t.blocklength);
-            } else if (t.blocklength > 0 && t.child->size > 0) {
-                // Every block adds at least one run, so more blocks than the
-                // cap cannot fit.
-                ok = static_cast<std::size_t>(t.count) <= DatatypeImpl::kMaxSegments;
-                for (int b = 0; ok && b < t.count; ++b) {
-                    ok = push_elems(segs, *t.child,
-                                    static_cast<MPI_Aint>(b) * t.stride * t.child->extent,
-                                    t.blocklength);
-                }
+            for (int b = 0; b < t.count; ++b) {
+                if (!run(*t.child, static_cast<MPI_Aint>(b) * t.stride * t.child->extent,
+                         t.blocklength))
+                    return false;
             }
-            break;
+            return true;
         case DatatypeImpl::Kind::indexed:
-            for (std::size_t b = 0; ok && b < t.blocklengths.size(); ++b) {
-                ok = push_elems(segs, *t.child, t.displacements[b] * t.child->extent,
-                                t.blocklengths[b]);
+            for (std::size_t b = 0; b < t.blocklengths.size(); ++b) {
+                if (!run(*t.child, t.displacements[b] * t.child->extent, t.blocklengths[b]))
+                    return false;
             }
-            break;
+            return true;
         case DatatypeImpl::Kind::strct:
-            for (std::size_t b = 0; ok && b < t.blocklengths.size(); ++b) {
-                ok = push_elems(segs, *t.children[b], t.displacements[b] - t.lb,
-                                t.blocklengths[b]);
+            for (std::size_t b = 0; b < t.blocklengths.size(); ++b) {
+                if (!run(*t.children[b], t.displacements[b] - t.lb, t.blocklengths[b]))
+                    return false;
             }
-            break;
+            return true;
     }
-    if (!ok) {
-        t.layout = Layout::recursive;
-        return;
-    }
-    bool const covers = segs.empty() || (segs.size() == 1 && segs[0].off == 0);
-    if (covers && t.extent == t.size && t.lb == 0) {
-        t.layout = Layout::dense;
-        return;
-    }
-    t.layout = Layout::segmented;
-    t.segments = std::move(segs);
+    return false;
 }
 
 }  // namespace
 
 void DatatypeImpl::pack(void const* src, int n, std::byte* dst) const {
     auto const* s = static_cast<std::byte const*>(src);
-    if (layout == Layout::dense) {
+    if (dense) {
         std::memcpy(dst, s, static_cast<std::size_t>(n) * static_cast<std::size_t>(size));
-        return;
-    }
-    if (layout == Layout::segmented) {
-        for (int e = 0; e < n; ++e, s += extent) {
-            for (Segment const& g : segments) {
-                std::memcpy(dst, s + g.off, static_cast<std::size_t>(g.len));
-                dst += g.len;
-            }
-        }
         return;
     }
     for (int e = 0; e < n; ++e) {
@@ -157,17 +103,8 @@ void DatatypeImpl::pack(void const* src, int n, std::byte* dst) const {
 
 void DatatypeImpl::unpack(std::byte const* src, int n, void* dst) const {
     auto* d = static_cast<std::byte*>(dst);
-    if (layout == Layout::dense) {
+    if (dense) {
         std::memcpy(d, src, static_cast<std::size_t>(n) * static_cast<std::size_t>(size));
-        return;
-    }
-    if (layout == Layout::segmented) {
-        for (int e = 0; e < n; ++e, d += extent) {
-            for (Segment const& g : segments) {
-                std::memcpy(d + g.off, src, static_cast<std::size_t>(g.len));
-                src += g.len;
-            }
-        }
         return;
     }
     for (int e = 0; e < n; ++e) {
@@ -213,13 +150,13 @@ void typed_copy(void const* src, int scount, MPI_Datatype stype, void* dst, MPI_
         static_cast<std::size_t>(scount) * static_cast<std::size_t>(stype->size);
     auto const rsize = static_cast<std::size_t>(rtype->size);
     int const rcount = static_cast<int>(bytes / rsize);
-    if (stype->flat()) {
+    if (stype->dense) {
         rtype->unpack(static_cast<std::byte const*>(src), rcount, dst);
         return;
     }
     // A trailing partial receive element is dropped, so packing straight
     // into the receive buffer is only exact for whole elements.
-    if (rtype->flat() && bytes % rsize == 0) {
+    if (rtype->dense && bytes % rsize == 0) {
         stype->pack(src, scount, static_cast<std::byte*>(dst));
         return;
     }
@@ -238,7 +175,7 @@ xmpi_datatype_t make_builtin(int size, int builtin_id) {
     t.committed = true;
     t.is_builtin = true;
     t.builtin_id = builtin_id;
-    compute_layout(t);
+    t.dense = true;
     return t;
 }
 
@@ -324,7 +261,7 @@ int MPI_Type_contiguous(int count, MPI_Datatype oldtype, MPI_Datatype* newtype) 
     t->child = oldtype;
     t->size = count * oldtype->size;
     t->extent = count * oldtype->extent;
-    xd::compute_layout(*t);
+    t->dense = xd::compute_dense(*t);
     *newtype = t;
     return MPI_SUCCESS;
 }
@@ -344,7 +281,7 @@ int MPI_Type_vector(int count, int blocklength, int stride, MPI_Datatype oldtype
     MPI_Aint const span =
         count > 0 ? (static_cast<MPI_Aint>(count - 1) * stride + blocklength) * oldtype->extent : 0;
     t->extent = span;
-    xd::compute_layout(*t);
+    t->dense = xd::compute_dense(*t);
     *newtype = t;
     return MPI_SUCCESS;
 }
@@ -367,7 +304,7 @@ int MPI_Type_indexed(int count, const int* blocklengths, const int* displacement
     }
     t->size = total * oldtype->size;
     t->extent = max_end * oldtype->extent;
-    xd::compute_layout(*t);
+    t->dense = xd::compute_dense(*t);
     *newtype = t;
     return MPI_SUCCESS;
 }
@@ -389,7 +326,7 @@ int MPI_Type_create_struct(int count, const int* blocklengths, const MPI_Aint* d
     }
     t->size = total;
     t->extent = max_end;
-    xd::compute_layout(*t);
+    t->dense = xd::compute_dense(*t);
     *newtype = t;
     return MPI_SUCCESS;
 }
@@ -407,7 +344,7 @@ int MPI_Type_create_resized(MPI_Datatype oldtype, MPI_Aint lb, MPI_Aint extent,
     t->size = oldtype->size;
     t->lb = lb;
     t->extent = extent;
-    xd::compute_layout(*t);
+    t->dense = xd::compute_dense(*t);
     *newtype = t;
     return MPI_SUCCESS;
 }

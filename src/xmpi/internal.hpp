@@ -66,30 +66,18 @@ struct DatatypeImpl {
     MPI_Datatype child = nullptr;
     std::vector<MPI_Datatype> children;  // struct
 
-    /// How pack and unpack move one element. Each constructor computes it
-    /// once (datatype.cpp, compute_layout):
-    ///  - dense: the typemap, walked in pack order, covers [0, size) with no
-    ///    gaps, extent == size and lb == 0; n elements are one memcpy;
-    ///  - segmented: one element's leaf blocks merged into at most
-    ///    kMaxSegments (byte offset, length) runs in pack order, copied by a
-    ///    flat element x segment loop;
-    ///  - recursive: over the cap; pack and unpack walk the type tree.
-    enum class Layout { dense, segmented, recursive };
-    struct Segment {
-        MPI_Aint off;
-        MPI_Aint len;
-    };
-    static constexpr std::size_t kMaxSegments = 256;
-    Layout layout = Layout::dense;
-    std::vector<Segment> segments;  // segmented only
+    /// True when the packed representation equals the memory layout for any
+    /// element count: the typemap, walked in pack order, covers [0, size)
+    /// with no gaps, extent == size and lb == 0, so pack and unpack are one
+    /// memcpy. Each constructor computes it once from its children's flags
+    /// (datatype.cpp, compute_dense). False, the default, keeps the
+    /// recursive walk, which is correct for every type.
+    bool dense = false;
 
     /// Packs `count` elements starting at `src` into contiguous bytes at `dst`.
     void pack(void const* src, int n, std::byte* dst) const;
     /// Unpacks `n` elements from contiguous bytes at `src` into `dst`.
     void unpack(std::byte const* src, int n, void* dst) const;
-    /// True when the packed representation equals the memory layout for any
-    /// element count: pack and unpack are memcpy.
-    bool flat() const { return layout == Layout::dense; }
 };
 
 /// Copies `scount` elements of `stype` at `src` into `dst` as elements of

@@ -78,7 +78,7 @@ bool fits_direct(xmpi_request_t const* pr, std::size_t bytes) {
     if (bytes == 0) return true;
     auto const elem = static_cast<std::size_t>(pr->type->size);
     return elem > 0 && bytes % elem == 0 && bytes <= static_cast<std::size_t>(pr->count) * elem &&
-           pr->type->flat();
+           pr->type->dense;
 }
 
 /// Packs the sender's buffer into the envelope's own payload (once).

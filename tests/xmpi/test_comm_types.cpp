@@ -1,6 +1,6 @@
 /// @file test_comm_types.cpp
 /// @brief Communicator management, derived datatypes (pack/unpack round
-/// trips, and the compiled layouts checked against a recursive reference
+/// trips, and the dense fast path checked against a recursive reference
 /// walk), topology/neighborhood collectives and ULFM fault injection.
 #include <gtest/gtest.h>
 
@@ -244,17 +244,16 @@ TEST(Types, ContiguousBytesForTriviallyCopyable) {
 }
 
 // ---------------------------------------------------------------------------
-// Compiled datatype layouts vs. the recursive reference walk
+// Dense fast path vs. the recursive reference walk
 // ---------------------------------------------------------------------------
 
 namespace {
 
 using xmpi::detail::DatatypeImpl;
-using Layout = DatatypeImpl::Layout;
 
-/// The recursive pack/unpack the datatype engine used before layouts were
-/// compiled at construction, kept verbatim (per-level flat check included)
-/// as the reference every layout must reproduce byte for byte.
+/// The recursive pack/unpack the datatype engine used before the dense flag
+/// was computed at construction, kept verbatim (per-level flat check
+/// included) as the reference pack and unpack must reproduce byte for byte.
 bool ref_is_flat(DatatypeImpl const& t) {
     if (t.is_builtin) return true;
     if (t.extent != t.size || t.lb != 0) return false;
@@ -406,7 +405,7 @@ struct TypedBuffer {
 /// stride), indexed (zero-length blocks allowed), struct (in-order,
 /// padded or shuffled members) and resized (lb may be nonzero), nested up
 /// to `depth` levels over a few builtins. A `wide` forest also draws
-/// leaves of 100-300 separate chars, so its trees cross the segment cap.
+/// leaves of 100-300 separate chars, so its trees have many blocks.
 /// Owns every type it builds.
 struct TypeForest {
     explicit TypeForest(unsigned seed) : rng(seed) {}
@@ -542,25 +541,26 @@ TEST(TypeLayout, RandomTreesMatchRecursiveReference) {
     }
 }
 
-TEST(TypeLayout, RandomTreesReachEveryLayout) {
-    int seen[3] = {0, 0, 0};
+TEST(TypeLayout, RandomTreesReachBothPaths) {
+    int dense = 0;  // derived types only: builtin leaves are dense trivially
+    int walked = 0;
     for (unsigned seed = 1; seed <= 400; ++seed) {
         TypeForest forest(seed);
-        ++seen[static_cast<int>(make_tree(forest, seed)->layout)];
+        MPI_Datatype const t = make_tree(forest, seed);
+        if (!t->is_builtin) ++(t->dense ? dense : walked);
     }
-    EXPECT_GT(seen[static_cast<int>(Layout::dense)], 0);
-    EXPECT_GT(seen[static_cast<int>(Layout::segmented)], 0);
-    EXPECT_GT(seen[static_cast<int>(Layout::recursive)], 0);
+    EXPECT_GT(dense, 0);
+    EXPECT_GT(walked, 0);
 }
 
 TEST(TypeLayout, DenseTypes) {
     using U64Pair = std::pair<std::uint64_t, std::uint64_t>;
-    EXPECT_TRUE(kamping::mpi_datatype<U64Pair>()->flat());
-    EXPECT_TRUE(MPI_INT->flat());
+    EXPECT_TRUE(kamping::mpi_datatype<U64Pair>()->dense);
+    EXPECT_TRUE(MPI_INT->dense);
 
     MPI_Datatype four;
     MPI_Type_contiguous(4, MPI_INT, &four);
-    EXPECT_TRUE(four->flat());
+    EXPECT_TRUE(four->dense);
 
     // Padding-free struct {int, float, double} wrapped like struct_type<T>.
     int bl[] = {1, 1, 1};
@@ -569,7 +569,7 @@ TEST(TypeLayout, DenseTypes) {
     MPI_Datatype raw, packed;
     MPI_Type_create_struct(3, bl, displs, fields, &raw);
     MPI_Type_create_resized(raw, 0, 16, &packed);
-    EXPECT_TRUE(packed->flat());
+    EXPECT_TRUE(packed->dense);
 
     // Blocks abutting is enough only when pack order is memory order.
     MPI_Aint swapped_displs[] = {4, 0};
@@ -577,28 +577,25 @@ TEST(TypeLayout, DenseTypes) {
     MPI_Datatype ints[] = {MPI_INT, MPI_INT};
     MPI_Datatype swapped;
     MPI_Type_create_struct(2, bl2, swapped_displs, ints, &swapped);
-    EXPECT_FALSE(swapped->flat());
-    EXPECT_EQ(swapped->layout, Layout::segmented);
+    EXPECT_FALSE(swapped->dense);
 
     MPI_Datatype shifted;
     MPI_Type_create_resized(MPI_INT, -4, 8, &shifted);
-    EXPECT_FALSE(shifted->flat());
-    EXPECT_EQ(shifted->layout, Layout::segmented);
+    EXPECT_FALSE(shifted->dense);
 
     for (MPI_Datatype* t : {&four, &raw, &packed, &swapped, &shifted}) MPI_Type_free(t);
 }
 
-TEST(TypeLayout, OverCapTypeRoundTrips) {
-    // Every other int of 300: 300 runs, over the segment cap, so the type
-    // keeps the recursive walk (and so does anything built on it).
+TEST(TypeLayout, SparseVectorRoundTrips) {
+    // Every other int of 300, and two of those: both take the recursive
+    // walk, pack to 300 and 600 ints, and travel through send/recv.
     MPI_Datatype sparse, twice;
     MPI_Type_vector(300, 1, 2, MPI_INT, &sparse);
     MPI_Type_contiguous(2, sparse, &twice);
     MPI_Type_commit(&sparse);
     MPI_Type_commit(&twice);
-    ASSERT_GT(300u, DatatypeImpl::kMaxSegments);
-    EXPECT_EQ(sparse->layout, Layout::recursive);
-    EXPECT_EQ(twice->layout, Layout::recursive);
+    EXPECT_FALSE(sparse->dense);
+    EXPECT_FALSE(twice->dense);
     std::mt19937 rng(7);
     for (int n : {0, 1, 7}) {
         expect_matches_reference(sparse, n, rng);
