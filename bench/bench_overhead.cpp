@@ -605,6 +605,56 @@ BENCHMARK(BM_alltoall_hier_hierarchical)->Arg(1)->Arg(64)->Arg(4096)->UseManualT
 BENCHMARK(BM_alltoall_hier_auto)->Arg(1)->Arg(64)->Arg(4096)->UseManualTime()->Iterations(3);
 
 // ---------------------------------------------------------------------------
+// Smoke-mode BENCH files share one head: the bench name, the command that
+// produced the file, and every control variable's effective value and
+// source at launch (XMPI_T_cvar_read), so each result records the
+// configuration it ran under.
+// ---------------------------------------------------------------------------
+
+std::string g_command;     ///< argv, space-joined
+std::string g_cvars_json;  ///< the "cvars" object, snapshotted at launch
+
+std::string json_escaped(std::string const& in) {
+    std::string out;
+    for (char c : in) {
+        if (c == '"' || c == '\\') out += '\\';
+        out += c;
+    }
+    return out;
+}
+
+void snapshot_launch(int argc, char** argv) {
+    for (int i = 0; i < argc; ++i) g_command += (i > 0 ? " " : "") + std::string(argv[i]);
+    char const* const kSources[] = {"default", "env", "control"};
+    int num = 0;
+    XMPI_T_cvar_num(&num);
+    g_cvars_json = "{\n";
+    for (int i = 0; i < num; ++i) {
+        char name[64], env[64], value[4096];
+        int source = 0;
+        XMPI_T_cvar_name(i, name, sizeof(name), env, sizeof(env));
+        if (XMPI_T_cvar_read(i, value, sizeof(value), &source) != MPI_SUCCESS) value[0] = '\0';
+        g_cvars_json += "    \"" + std::string(name) + "\": {\"env\": \"" + env +
+                        "\", \"value\": \"" + json_escaped(value) + "\", \"source\": \"" +
+                        kSources[source] + "\"}" + (i + 1 < num ? ",\n" : "\n");
+    }
+    g_cvars_json += "  }";
+}
+
+/// Opens `out_path` and writes the shared head, leaving the top-level
+/// object open for the mode's own fields; null (reported) on failure.
+std::FILE* open_bench_file(char const* out_path, char const* bench) {
+    std::FILE* const f = std::fopen(out_path, "w");
+    if (f == nullptr) {
+        std::fprintf(stderr, "%s-smoke: cannot open %s\n", bench, out_path);
+        return nullptr;
+    }
+    std::fprintf(f, "{\n  \"bench\": \"%s\",\n  \"command\": \"%s\",\n  \"cvars\": %s,\n", bench,
+                 json_escaped(g_command).c_str(), g_cvars_json.c_str());
+    return f;
+}
+
+// ---------------------------------------------------------------------------
 // Trace-overhead smoke (BENCH_trace.json): invoked as `bench_overhead
 // --trace-smoke [out.json]` instead of the google-benchmark suite. Measures
 // the 1-element persistent-allreduce loop (the most instrumentation-dense
@@ -686,14 +736,9 @@ int trace_smoke(char const* out_path) {
                              ? attr.attributed / attr.traced_makespan
                              : 0.0;
 
-    std::FILE* const f = std::fopen(out_path, "w");
-    if (f == nullptr) {
-        std::fprintf(stderr, "trace-smoke: cannot open %s\n", out_path);
-        return 1;
-    }
+    std::FILE* const f = open_bench_file(out_path, "trace");
+    if (f == nullptr) return 1;
     std::fprintf(f,
-                 "{\n"
-                 "  \"bench\": \"trace\",\n"
                  "  \"persistent_allreduce_1elem\": {\n"
                  "    \"ranks\": %d,\n"
                  "    \"inner_iterations\": %d,\n"
@@ -867,14 +912,9 @@ int shm_smoke(char const* out_path) {
     XMPI_T_tune_get("gamma_copy", &gamma_fit);
     XMPI_T_tune_reset();
 
-    std::FILE* const f = std::fopen(out_path, "w");
-    if (f == nullptr) {
-        std::fprintf(stderr, "shm-smoke: cannot open %s\n", out_path);
-        return 1;
-    }
+    std::FILE* const f = open_bench_file(out_path, "shm");
+    if (f == nullptr) return 1;
     std::fprintf(f,
-                 "{\n"
-                 "  \"bench\": \"shm\",\n"
                  "  \"gamma_copy\": {\n"
                  "    \"model_default_s_per_byte\": %.9g,\n"
                  "    \"calibrated_s_per_byte\": %.9g\n"
@@ -1083,14 +1123,9 @@ int progress_smoke(char const* out_path) {
     bool const pass =
         win >= kRequiredWin && app_calls == 0 && worst_delta <= kMaxInterferencePct;
 
-    std::FILE* const f = std::fopen(out_path, "w");
-    if (f == nullptr) {
-        std::fprintf(stderr, "progress-smoke: cannot open %s\n", out_path);
-        return 1;
-    }
+    std::FILE* const f = open_bench_file(out_path, "progress");
+    if (f == nullptr) return 1;
     std::fprintf(f,
-                 "{\n"
-                 "  \"bench\": \"progress\",\n"
                  "  \"overlap_persistent_allreduce\": {\n"
                  "    \"ranks\": %d,\n"
                  "    \"payload_bytes\": %lld,\n"
@@ -1144,6 +1179,7 @@ int progress_smoke(char const* out_path) {
 }  // namespace
 
 int main(int argc, char** argv) {
+    snapshot_launch(argc, argv);
     for (int i = 1; i < argc; ++i) {
         if (std::string(argv[i]) == "--trace-smoke") {
             return trace_smoke(i + 1 < argc ? argv[i + 1] : "BENCH_trace.json");

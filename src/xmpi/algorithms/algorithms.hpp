@@ -14,6 +14,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "bench/model/analytic.hpp"
@@ -85,11 +86,6 @@ int select_flat(Family f, int p, std::size_t bytes, bool commutative, bool eleme
 /// run_blocking.
 int run_observed(Schedule& s, Family f, int alg, std::size_t bytes);
 
-/// Testing hook: forgets the cached XMPI_ALG_* environment resolutions (and
-/// re-arms the one-time unknown-name warning) so tests can exercise the env
-/// channel after mutating the environment.
-void reset_env_cache_for_testing();
-
 // ---------------------------------------------------------------------------
 // Schedule cache. Repeated blocking and MPI_I* collectives with identical
 // arguments re-arm a cached compiled schedule (reset + fresh sequence
@@ -128,8 +124,8 @@ bool spec_cacheable(SchedSpec const& spec);
 /// Cache probe: when `spec` is cacheable, the communicator's cache holds a
 /// matching idle entry and the epoch is current, returns that schedule
 /// reset and retagged with `seq` (counted as a hit); otherwise null.
-/// Entries are dropped when the control epoch moves (XMPI_T_alg_set,
-/// XMPI_T_alg_env_refresh, XMPI_T_topo_set, cache/segment control writes)
+/// Entries are dropped when the control epoch moves (writes to the control
+/// variables that shape schedules, XMPI_T_alg_env_refresh, tuning updates)
 /// and under LRU pressure; an entry still referenced by an in-flight
 /// nonblocking request is skipped, not reused concurrently.
 std::shared_ptr<Schedule> cache_take(MPI_Comm comm, std::uint64_t seq, SchedSpec const& spec);
@@ -162,20 +158,31 @@ std::shared_ptr<Schedule> acquire_schedule(MPI_Comm comm, std::uint64_t seq,
     return s;
 }
 
-/// True when the schedule cache is active (XMPI_T_sched_cache_set control,
-/// then the XMPI_SCHED_CACHE environment variable, then on by default).
+/// True when the schedule cache is active (the `sched.cache` control
+/// variable: XMPI_T_sched_cache_set, then XMPI_SCHED_CACHE, then on).
 bool sched_cache_enabled();
 
 /// Bumps the schedule-control epoch, invalidating every communicator's
-/// cached schedules on their next use. Called by the XMPI_T alg/topo/cache/
-/// segment control writes and the env refresh.
+/// cached schedules on their next use. Called by writes to the control
+/// variables that shape schedules, by the env refresh and by tuning.
 void bump_sched_epoch();
 
-/// Re-resolves the XMPI_SEGMENT_BYTES / XMPI_SCHED_CACHE environment knobs
-/// (warn-once state re-armed) and publishes the segment override to
-/// bench::model::forced_segment_bytes(). Called at first use and from
-/// XMPI_T_alg_env_refresh.
-void refresh_tuning_env();
+/// The current schedule-control epoch.
+std::uint64_t sched_epoch();
+
+/// Measured correction applied to each hierarchical composition's
+/// closed-form cost in selection: geometric mean of simulated/modeled
+/// makespan over the recorded divergence sweep (BENCH_sim.json
+/// "divergences", fit_ratio field). The closed forms systematically
+/// overprice the compositions that overlap their intra- and inter-node
+/// phases — worst for allreduce, whose reduce-scatter/leader/bcast phases
+/// pipeline across nodes — so without the ratio the selector under-picks
+/// "hierarchical" near the crossover sizes. Ratios of 1.0 mean the recorded
+/// sweep found no systematic bias.
+inline constexpr double kHierFitRatio[kFamilies] = {
+    /*bcast=*/1.0, /*reduce=*/0.992528866, /*allgather=*/1.0,
+    /*allreduce=*/0.803476613, /*alltoall=*/0.94862726,
+};
 
 // ---------------------------------------------------------------------------
 // Builders. Each appends the selected algorithm's step program to `s`.

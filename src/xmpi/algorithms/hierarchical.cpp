@@ -58,6 +58,7 @@
 #include <limits>
 #include <vector>
 
+#include "../cvar.hpp"
 #include "../shm/shm.hpp"
 #include "../topo/topo.hpp"
 #include "algorithms.hpp"
@@ -144,9 +145,7 @@ int max_seg_len(int count, int nseg) { return count / nseg + (count % nseg != 0 
 /// yields more than one segment, bypassing the cost-model comparison, so
 /// harnesses can exercise the pipeline at any granularity. A pin of at
 /// least the message size yields one segment: the same builder, unpipelined.
-bool segment_forced() {
-    return bench::model::forced_segment_bytes().load(std::memory_order_relaxed) > 0;
-}
+bool segment_forced() { return cvar::get(cvar::Id::segment_bytes) > 0; }
 
 /// Element count of block j under block_offsets' prefix sums `off`.
 int block_len(std::vector<long long> const& off, int j) {

@@ -1,22 +1,15 @@
 /// @file registry.cpp
 /// @brief Algorithm registry and selection: per-family tables (single-tier
 /// algorithms plus the leader-based hierarchical composition), the two-tier
-/// cost-model automatic choice, and the two override channels (the
-/// XMPI_ALG_<FAMILY> environment variables and the XMPI_T_alg_* control
-/// calls, the latter taking precedence so harnesses can pin algorithms
-/// programmatically).
+/// cost-model automatic choice, the per-family `alg.*` control variables
+/// (XMPI_ALG_<FAMILY>, pinned by XMPI_T_alg_set) and the schedule cache.
 #include <algorithm>
 #include <atomic>
-#include <cctype>
-#include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <limits>
-#include <mutex>
 #include <string>
 
-#include "../env.hpp"
-#include "../progress.hpp"
+#include "../cvar.hpp"
 #include "../shm/shm.hpp"
 #include "../topo/topo.hpp"
 #include "../tune/tune.hpp"
@@ -90,43 +83,14 @@ std::vector<AlgInfo> const& table(Family f) {
 
 char const* const kFamilyNames[kFamilies] = {"bcast", "reduce", "allgather", "allreduce",
                                              "alltoall"};
-char const* const kEnvNames[kFamilies] = {"XMPI_ALG_BCAST", "XMPI_ALG_REDUCE",
-                                          "XMPI_ALG_ALLGATHER", "XMPI_ALG_ALLREDUCE",
-                                          "XMPI_ALG_ALLTOALL"};
-
-/// Control-API forced algorithm index per family; -1 means automatic.
-std::atomic<int> g_forced[kFamilies] = {-1, -1, -1, -1, -1};
-
 /// Index the calling process most recently selected per family (-1 before
 /// the first invocation); reported by XMPI_T_alg_selected.
 std::atomic<int> g_selected[kFamilies] = {-1, -1, -1, -1, -1};
 
-/// Cached XMPI_ALG_* resolution per family (-2 = not yet resolved, -1 =
-/// unset or unknown name). The environment cannot change meaningfully
-/// mid-process (the CI matrix sets it at launch), so the hot path pays no
-/// environ scan per collective call.
-std::atomic<int> g_env_cache[kFamilies] = {-2, -2, -2, -2, -2};
-
-bool iequals(char const* a, char const* b) {
-    for (; *a != '\0' && *b != '\0'; ++a, ++b) {
-        if (std::tolower(static_cast<unsigned char>(*a)) !=
-            std::tolower(static_cast<unsigned char>(*b)))
-            return false;
-    }
-    return *a == '\0' && *b == '\0';
-}
-
 int family_index(char const* name) {
     if (name == nullptr) return -1;
     for (int i = 0; i < kFamilies; ++i) {
-        if (iequals(name, kFamilyNames[i])) return i;
-    }
-    return -1;
-}
-
-int name_index(std::vector<AlgInfo> const& t, char const* name) {
-    for (std::size_t i = 0; i < t.size(); ++i) {
-        if (iequals(name, t[i].name)) return static_cast<int>(i);
+        if (cvar::iequals(name, kFamilyNames[i])) return i;
     }
     return -1;
 }
@@ -142,132 +106,12 @@ bool flags_valid(AlgInfo const& a, int p, bool commutative, bool elementwise) {
     return true;
 }
 
-std::string joined_names(std::vector<AlgInfo> const& t) {
-    std::string out;
-    for (std::size_t i = 0; i < t.size(); ++i) {
-        if (i > 0) out += ", ";
-        out += t[i].name;
-    }
-    return out;
-}
-
-/// Resolves XMPI_ALG_<FAMILY> once, emitting a one-time stderr warning that
-/// names the valid choices when the variable holds an unknown name (silent
-/// fallback used to make such typos indistinguishable from a deliberate
-/// "auto"). The same serialize-and-warn-once discipline covers the tuning
-/// knobs (XMPI_SEGMENT_BYTES, XMPI_SCHED_CACHE) below.
-std::mutex g_env_mutex;
-
-// ---------------------------------------------------------------------------
-// Tuning knobs: pipeline segment size and schedule-cache switch.
-// Resolution order is control call > environment > built-in default, with
-// the environment parsed once per process (re-armed by
-// XMPI_T_alg_env_refresh). Invalid values warn once on stderr and fall back
-// — a zero/garbage segment size must never reach a builder.
-// ---------------------------------------------------------------------------
-
 /// Epoch of the schedule-affecting controls; cached schedules are stamped
 /// with it and dropped when it moves.
 std::atomic<std::uint64_t> g_sched_epoch{1};
 
-// Resolved env values, written under g_env_mutex but read lock-free on the
-// collective hot path — hence atomics (relaxed suffices: each is an
-// independent flag and is stored exactly once per resolution, never through
-// a transient intermediate).
-std::atomic<bool> g_tuning_resolved{false};
-std::atomic<long long> g_env_segment_bytes{0};  ///< 0 = unset/invalid
-std::atomic<int> g_env_sched_cache{-1};         ///< -1 = unset/invalid
-
-std::atomic<long long> g_forced_segment{0};  ///< control pin; 0 = automatic
-std::atomic<int> g_forced_cache{-1};         ///< control pin; -1 = automatic
-
-/// XMPI_HIER_FIT switch for the measured hierarchical correction ratios
-/// below (1 = apply, 0 = raw closed-form costs; default on). Resolved with
-/// the tuning environment, re-armed by XMPI_T_alg_env_refresh.
-std::atomic<int> g_env_hier_fit{1};
-
-/// Pushes the effective segment override (control > env > none) into the
-/// shared model hook so builders and cost formulas segment identically.
-void publish_segment_override() {
-    double v = 0.0;
-    if (long long const forced = g_forced_segment.load(std::memory_order_relaxed); forced > 0) {
-        v = static_cast<double>(forced);
-    } else if (long long const env = g_env_segment_bytes.load(std::memory_order_relaxed);
-               env > 0) {
-        v = static_cast<double>(env);
-    }
-    bench::model::forced_segment_bytes().store(v, std::memory_order_relaxed);
-}
-
-/// Parses the tuning environment once (under g_env_mutex); warns once per
-/// resolution for each invalid value. Each resolved value is computed into
-/// a local and published with a single store, so concurrent lock-free
-/// readers never observe a mid-resolution reset.
-void resolve_tuning_env_locked() {
-    long long const seg = envutil::parse_env_int(
-        "XMPI_SEGMENT_BYTES", 0, 1, std::numeric_limits<long long>::max(),
-        "is not a positive byte count; falling back to the cost model's segment size");
-    int cache = -1;
-    if (char const* env = std::getenv("XMPI_SCHED_CACHE"); env != nullptr && *env != '\0') {
-        if (iequals(env, "0") || iequals(env, "off")) {
-            cache = 0;
-        } else if (iequals(env, "1") || iequals(env, "on")) {
-            cache = 1;
-        } else {
-            std::fprintf(stderr,
-                         "xmpi: XMPI_SCHED_CACHE=\"%s\" is not 0/1 (or off/on); "
-                         "the schedule cache stays enabled\n",
-                         env);
-        }
-    }
-    int hier_fit = 1;
-    if (char const* env = std::getenv("XMPI_HIER_FIT"); env != nullptr && *env != '\0') {
-        if (iequals(env, "0") || iequals(env, "off")) {
-            hier_fit = 0;
-        } else if (!iequals(env, "1") && !iequals(env, "on")) {
-            std::fprintf(stderr,
-                         "xmpi: XMPI_HIER_FIT=\"%s\" is not 0/1 (or off/on); "
-                         "the fitted hierarchical correction stays enabled\n",
-                         env);
-        }
-    }
-    g_env_segment_bytes.store(seg, std::memory_order_relaxed);
-    g_env_sched_cache.store(cache, std::memory_order_relaxed);
-    g_env_hier_fit.store(hier_fit, std::memory_order_relaxed);
-    publish_segment_override();
-    g_tuning_resolved.store(true, std::memory_order_release);
-}
-
-void ensure_tuning_resolved() {
-    if (g_tuning_resolved.load(std::memory_order_acquire)) return;
-    std::lock_guard<std::mutex> lock(g_env_mutex);
-    if (g_tuning_resolved.load(std::memory_order_relaxed)) return;
-    resolve_tuning_env_locked();
-}
-
-int resolve_env(Family f) {
-    int const fi = static_cast<int>(f);
-    int idx = g_env_cache[fi].load(std::memory_order_relaxed);
-    if (idx != -2) return idx;
-    // Serialize the slow path: ranks hit their first collective
-    // concurrently and the warning must be emitted exactly once.
-    std::lock_guard<std::mutex> lock(g_env_mutex);
-    idx = g_env_cache[fi].load(std::memory_order_relaxed);
-    if (idx != -2) return idx;
-    char const* env = std::getenv(kEnvNames[fi]);
-    idx = -1;
-    // "auto" is an explicit request for automatic selection, not a typo.
-    if (env != nullptr && *env != '\0' && !iequals(env, "auto")) {
-        idx = name_index(table(f), env);
-        if (idx < 0) {
-            std::fprintf(stderr,
-                         "xmpi: %s=\"%s\" does not name a registered %s algorithm "
-                         "(valid: %s, auto); falling back to automatic selection\n",
-                         kEnvNames[fi], env, kFamilyNames[fi], joined_names(table(f)).c_str());
-        }
-    }
-    g_env_cache[fi].store(idx, std::memory_order_relaxed);
-    return idx;
+cvar::Id alg_row(int family) {
+    return static_cast<cvar::Id>(static_cast<int>(cvar::Id::alg_bcast) + family);
 }
 
 /// Cost of a hierarchical entry; needs the operation's properties because
@@ -275,21 +119,8 @@ int resolve_env(Family f) {
 /// leader-based shapes. With the zero-copy shm transport enabled the shm
 /// intra-phase variants join each composition's candidate set — the
 /// builders take the same minimum, so "hierarchical" stays one registry
-/// entry whose internal shape follows the transport switch.
-/// Measured correction applied to each hierarchical composition's
-/// closed-form cost: geometric mean of simulated/modeled makespan over the
-/// recorded divergence sweep (BENCH_sim.json "divergences", fit_ratio
-/// field). The closed forms systematically overprice the compositions that
-/// overlap their intra- and inter-node phases — worst for allreduce, whose
-/// reduce-scatter/leader/bcast phases pipeline across nodes — so without
-/// the ratio the selector under-picks "hierarchical" near the crossover
-/// sizes. Ratios of 1.0 mean the recorded sweep found no systematic bias.
-/// XMPI_HIER_FIT=0 restores the raw costs (regression-tested).
-constexpr double kHierFitRatio[kFamilies] = {
-    /*bcast=*/1.0, /*reduce=*/0.992528866, /*allgather=*/1.0,
-    /*allreduce=*/0.803476613, /*alltoall=*/0.94862726,
-};
-
+/// entry whose internal shape follows the transport switch. The closed
+/// form is scaled by the family's measured kHierFitRatio.
 double hier_cost(Family f, bench::model::TwoTier const& t, bench::model::NodeShape const& shape,
                  double p, double bytes, bool commutative, bool elementwise) {
     bool const shm = shm::enabled();
@@ -303,10 +134,7 @@ double hier_cost(Family f, bench::model::TwoTier const& t, bench::model::NodeSha
             break;
         case Family::alltoall: c = bench::model::alltoall_hier(t, shape, p, bytes); break;
     }
-    if (g_env_hier_fit.load(std::memory_order_relaxed) != 0) {
-        c *= kHierFitRatio[static_cast<int>(f)];
-    }
-    return c;
+    return c * kHierFitRatio[static_cast<int>(f)];
 }
 
 }  // namespace
@@ -322,7 +150,7 @@ char const* family_name(Family f) { return kFamilyNames[static_cast<int>(f)]; }
 int select(Family f, MPI_Comm comm, std::size_t bytes, bool commutative, bool elementwise) {
     // Pricing below may consult the pipeline-segment formulas, which honor
     // the (lazily resolved) XMPI_SEGMENT_BYTES override.
-    ensure_tuning_resolved();
+    cvar::get(cvar::Id::segment_bytes);
     auto const& t = table(f);
     int const p = comm->size();
     topo::NodeInfo const& ni = topo::node_info(comm);
@@ -358,14 +186,10 @@ int select(Family f, MPI_Comm comm, std::size_t bytes, bool commutative, bool el
         return idx;
     };
 
-    int const forced = g_forced[static_cast<int>(f)].load(std::memory_order_relaxed);
-    if (forced >= 0 && forced < static_cast<int>(t.size()) &&
-        valid(t[static_cast<std::size_t>(forced)]))
-        return chosen(forced);
-    if (forced < 0) {
-        int const idx = resolve_env(f);
-        if (idx >= 0 && valid(t[static_cast<std::size_t>(idx)])) return chosen(idx);
-    }
+    // A pin (control write, else XMPI_ALG_<FAMILY>) that is invalid for
+    // this invocation falls back to cost-based selection.
+    auto const pinned = static_cast<std::size_t>(cvar::get(alg_row(static_cast<int>(f))));
+    if (pinned < t.size() && valid(t[pinned])) return chosen(static_cast<int>(pinned));
 
     bench::model::TwoTier const machine = machine_of(comm);
     bench::model::NodeShape const shape{static_cast<double>(ni.num_nodes()),
@@ -437,24 +261,11 @@ int select_flat(Family f, int p, std::size_t bytes, bool commutative, bool eleme
     return best;
 }
 
-void reset_env_cache_for_testing() {
-    for (auto& c : g_env_cache) c.store(-2, std::memory_order_relaxed);
-}
-
-bool sched_cache_enabled() {
-    if (int const forced = g_forced_cache.load(std::memory_order_relaxed); forced >= 0)
-        return forced != 0;
-    ensure_tuning_resolved();
-    // Unset (-1) and 1 both mean enabled.
-    return g_env_sched_cache.load(std::memory_order_relaxed) != 0;
-}
+bool sched_cache_enabled() { return cvar::get(cvar::Id::sched_cache) != 0; }
 
 void bump_sched_epoch() { g_sched_epoch.fetch_add(1, std::memory_order_relaxed); }
 
-void refresh_tuning_env() {
-    std::lock_guard<std::mutex> lock(g_env_mutex);
-    resolve_tuning_env_locked();
-}
+std::uint64_t sched_epoch() { return g_sched_epoch.load(std::memory_order_relaxed); }
 
 // ---------------------------------------------------------------------------
 // Schedule cache.
@@ -548,39 +359,19 @@ using namespace xmpi::detail::alg;
 int XMPI_T_alg_set(const char* family, const char* algorithm) {
     int const fi = family_index(family);
     if (fi < 0) return MPI_ERR_ARG;
-    if (algorithm == nullptr || *algorithm == '\0' || iequals(algorithm, "auto")) {
-        g_forced[fi].store(-1, std::memory_order_relaxed);
-        bump_sched_epoch();
-        return MPI_SUCCESS;
-    }
-    int const ai = name_index(table(static_cast<Family>(fi)), algorithm);
-    if (ai < 0) return MPI_ERR_ARG;
-    g_forced[fi].store(ai, std::memory_order_relaxed);
-    bump_sched_epoch();
-    return MPI_SUCCESS;
+    // "auto" here drops the pin; XMPI_T_cvar_write can pin "auto" itself.
+    bool const unpin = algorithm == nullptr || xmpi::detail::cvar::iequals(algorithm, "auto");
+    return xmpi::detail::cvar::write(alg_row(fi), unpin ? nullptr : algorithm);
 }
 
 int XMPI_T_alg_get(const char* family, const char** algorithm) {
+    namespace cvar = xmpi::detail::cvar;
     int const fi = family_index(family);
     if (fi < 0 || algorithm == nullptr) return MPI_ERR_ARG;
-    int const forced = g_forced[fi].load(std::memory_order_relaxed);
-    *algorithm = forced < 0
-                     ? "auto"
-                     : table(static_cast<Family>(fi))[static_cast<std::size_t>(forced)].name;
-    return MPI_SUCCESS;
-}
-
-int XMPI_T_alg_env_refresh(void) {
-    // Re-arm the one-time invalid-value diagnostics before re-resolving, so
-    // a refreshed environment warns again.
-    xmpi::detail::envutil::reset_warnings();
-    reset_env_cache_for_testing();
-    refresh_tuning_env();
-    xmpi::detail::tune::refresh_env();
-    xmpi::detail::trace::refresh_env();
-    xmpi::detail::shm::refresh_env();
-    xmpi::detail::progress::refresh_env();
-    bump_sched_epoch();
+    bool const pinned = cvar::source(alg_row(fi)) == cvar::Source::control;
+    long long const idx = pinned ? cvar::get(alg_row(fi)) : -1;
+    *algorithm = idx < 0 ? "auto"
+                         : table(static_cast<Family>(fi))[static_cast<std::size_t>(idx)].name;
     return MPI_SUCCESS;
 }
 
@@ -590,76 +381,6 @@ int XMPI_T_alg_selected(const char* family, const char** algorithm) {
     int const sel = g_selected[fi].load(std::memory_order_relaxed);
     *algorithm = sel < 0 ? "none"
                          : table(static_cast<Family>(fi))[static_cast<std::size_t>(sel)].name;
-    return MPI_SUCCESS;
-}
-
-int XMPI_T_segment_set(long long bytes) {
-    if (bytes < 0) return MPI_ERR_ARG;
-    ensure_tuning_resolved();
-    g_forced_segment.store(bytes, std::memory_order_relaxed);
-    {
-        std::lock_guard<std::mutex> lock(g_env_mutex);
-        publish_segment_override();
-    }
-    bump_sched_epoch();
-    return MPI_SUCCESS;
-}
-
-int XMPI_T_segment_get(long long* bytes) {
-    if (bytes == nullptr) return MPI_ERR_ARG;
-    ensure_tuning_resolved();
-    *bytes = static_cast<long long>(
-        bench::model::forced_segment_bytes().load(std::memory_order_relaxed));
-    return MPI_SUCCESS;
-}
-
-int XMPI_T_shm_set(int enabled) {
-    if (enabled < -1 || enabled > 1) return MPI_ERR_ARG;
-    xmpi::detail::shm::set_forced(enabled);
-    return MPI_SUCCESS;
-}
-
-int XMPI_T_shm_get(int* enabled) {
-    if (enabled == nullptr) return MPI_ERR_ARG;
-    *enabled = xmpi::detail::shm::enabled() ? 1 : 0;
-    return MPI_SUCCESS;
-}
-
-int XMPI_T_progress_set(int enabled) {
-    if (enabled < -1 || enabled > 1) return MPI_ERR_ARG;
-    xmpi::detail::progress::set_forced(enabled);
-    return MPI_SUCCESS;
-}
-
-int XMPI_T_progress_get(int* enabled) {
-    if (enabled == nullptr) return MPI_ERR_ARG;
-    *enabled = xmpi::detail::progress::enabled() ? 1 : 0;
-    return MPI_SUCCESS;
-}
-
-int XMPI_T_sched_cache_set(int enabled) {
-    if (enabled < -1 || enabled > 1) return MPI_ERR_ARG;
-    g_forced_cache.store(enabled, std::memory_order_relaxed);
-    bump_sched_epoch();
-    return MPI_SUCCESS;
-}
-
-int XMPI_T_sched_cache_get(int* enabled) {
-    if (enabled == nullptr) return MPI_ERR_ARG;
-    *enabled = sched_cache_enabled() ? 1 : 0;
-    return MPI_SUCCESS;
-}
-
-int XMPI_T_sched_stats(unsigned long long* builds, unsigned long long* cache_hits,
-                       unsigned long long* cache_evictions,
-                       unsigned long long* peak_scratch_bytes) {
-    xmpi::detail::RankState* const rs = xmpi::detail::tls_rank();
-    if (rs == nullptr) return MPI_ERR_OTHER;  // only meaningful inside a rank
-    if (builds != nullptr) *builds = rs->counters.schedule_builds;
-    if (cache_hits != nullptr) *cache_hits = rs->counters.schedule_cache_hits;
-    if (cache_evictions != nullptr) *cache_evictions = rs->counters.schedule_cache_evictions;
-    if (peak_scratch_bytes != nullptr)
-        *peak_scratch_bytes = rs->counters.schedule_peak_scratch_bytes;
     return MPI_SUCCESS;
 }
 

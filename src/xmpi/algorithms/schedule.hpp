@@ -151,8 +151,8 @@ public:
     /// them but never dereference — every buffer access lives in a `local`
     /// step, and local steps are discarded), and `local` closures are
     /// dropped. A dry schedule must not be advance()d. Dry builds touch no
-    /// rank counters: XMPI_T_sched_stats' schedule_builds counts only real
-    /// compilations; simulated ones are reported via XMPI_T_sim_stats.
+    /// rank counters: counters.schedule_builds counts only real
+    /// compilations; simulated ones are reported by the sim.* pvars.
     void begin_dry(DrySink* sink) {
         dry_ = sink;
         sink->begin_build();

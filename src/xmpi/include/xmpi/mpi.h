@@ -382,10 +382,11 @@ int XMPI_T_alg_list(const char* family, char* buf, int buflen);
 /// most recent invocation of `family` (introspection for tests/benchmarks;
 /// "none" before the first invocation). The pointer is static storage.
 int XMPI_T_alg_selected(const char* family, const char** algorithm);
-/// Discards the cached XMPI_ALG_* environment resolutions so the variables
-/// are re-read (and an unknown name warns again) on the next selection.
-/// Mainly for harnesses that mutate the environment mid-process. Affects
-/// only *future* selections: live persistent operations (MPI_*_init) froze
+/// Starts a new environment cycle for every control variable (see
+/// XMPI_T_cvar_* below): each XMPI_* variable is re-read, and an invalid
+/// value warns again, at its next use. Control writes stay pinned. Mainly
+/// for harnesses that mutate the environment mid-process. Affects only
+/// *future* selections: live persistent operations (MPI_*_init) froze
 /// their algorithm at init time and are not re-selected by a refresh.
 int XMPI_T_alg_env_refresh(void);
 
@@ -437,13 +438,6 @@ int XMPI_T_shm_get(int* enabled);
 int XMPI_T_progress_set(int enabled);
 /// Reports whether the progress engine is effectively enabled (0/1).
 int XMPI_T_progress_get(int* enabled);
-/// Reports the calling rank's schedule accounting (any pointer may be
-/// null): schedules built, cache hits, cache evictions, and the largest
-/// single-schedule scratch working set in bytes. Callable only from inside
-/// a rank body (MPI_ERR_OTHER otherwise).
-int XMPI_T_sched_stats(unsigned long long* builds, unsigned long long* cache_hits,
-                       unsigned long long* cache_evictions,
-                       unsigned long long* peak_scratch_bytes);
 
 // ---------------------------------------------------------------------------
 // Hierarchical topology control (MPI_T-style substrate extension).
@@ -471,26 +465,14 @@ int XMPI_T_topo_get(int* ranks_per_node);
 // The discrete-event simulator (src/xmpi/sim/) dry-builds collective
 // schedules at virtual communicator sizes far beyond what threads-as-ranks
 // can materialize (10^4..10^6 ranks) and replays the resulting payload-free
-// tapes under the two-tier cost model. Resolution order for the event limit
-// is control call > XMPI_SIM_EVENT_LIMIT environment variable > unlimited;
-// an invalid environment value warns once on stderr and falls back, the
-// same path as the XMPI_ALG_* / tuning knobs.
+// tapes under the two-tier cost model. The `sim.event_limit` control
+// variable (XMPI_SIM_EVENT_LIMIT) caps the tape events one simulation may
+// execute, a runaway guard for scripted sweeps; 0 means unlimited. The
+// simulator's accounting is read through the `sim.*` pvars.
 // ---------------------------------------------------------------------------
 
-/// Caps the number of tape events one simulation may execute (a runaway
-/// guard for scripted sweeps): > 0 sets the cap, 0 means unlimited, -1
-/// restores automatic resolution (XMPI_SIM_EVENT_LIMIT, then unlimited).
-/// Values below -1 are rejected with MPI_ERR_ARG.
-int XMPI_T_sim_event_limit_set(long long limit);
 /// Reports the *effective* event limit (0 when unlimited).
 int XMPI_T_sim_event_limit_get(long long* limit);
-/// Reports process-wide simulator accounting (any pointer may be null):
-/// per-rank dry schedule builds (counted separately from the real
-/// compilations XMPI_T_sched_stats reports), recorded tape steps, executed
-/// events, and the most recent simulation's makespan in virtual seconds.
-/// Callable from anywhere, including outside rank bodies.
-int XMPI_T_sim_stats(unsigned long long* dry_builds, unsigned long long* tape_steps,
-                     unsigned long long* events, double* last_makespan);
 
 // ---------------------------------------------------------------------------
 // Self-tuning control (MPI_T-style substrate extension).
@@ -532,12 +514,9 @@ int XMPI_T_tune_calibrate(MPI_Comm comm);
 /// Writes the effective two-tier parameters to `path` in the
 /// XMPI_TUNE_PROFILE format (persist once, reuse via the environment).
 int XMPI_T_tune_save(const char* path);
-/// Reports process-wide feedback-loop accounting (any pointer may be
-/// null): recorded makespans, probe decisions, demotions and recoveries.
-int XMPI_T_tune_stats(unsigned long long* records, unsigned long long* probes,
-                      unsigned long long* demotions, unsigned long long* recoveries);
-/// Forgets measured state (calibrated fits, the feedback table, the stats
-/// counters) while keeping control pins and the environment profile.
+/// Forgets measured state (calibrated fits, the feedback table, the
+/// `tune.*` pvar counters) while keeping control pins and the environment
+/// profile.
 int XMPI_T_tune_reset(void);
 
 // ---------------------------------------------------------------------------
@@ -556,15 +535,18 @@ int XMPI_T_tune_reset(void);
 // handle-based interface. Naming scheme (dot-separated, stable):
 //   counters.*      the calling rank's Counters fields (in-rank only).
 //                   `schedule_peak_scratch_bytes.rank` is the calling rank's
-//                   own peak — the value XMPI_T_sched_stats also reports —
-//                   while `.max` reduces over all ranks of the universe, the
-//                   same aggregation RunResult::total applies.
+//                   own peak, while `.max` reduces over all ranks of the
+//                   universe, the same aggregation RunResult::total applies.
 //   p2p.wait_time_ns  wall nanoseconds the rank spent blocked in wait/test
 //                   (summed over all ranks of the last traced run when read
 //                   outside a rank body).
-//   sim.* tune.*    process-wide simulator / feedback-loop accounting (the
-//                   XMPI_T_sim_stats / XMPI_T_tune_stats fields).
-//   trace.*         ring accounting (events recorded / dropped).
+//   sim.*           process-wide simulator accounting: per-rank dry builds
+//                   (counted apart from counters.schedule_builds), tape
+//                   steps, events, the last simulation's makespan.
+//   tune.*          feedback-loop accounting: records, probes, demotions,
+//                   recoveries.
+//   trace.*         ring accounting (events recorded / dropped, and the
+//                   events the last traced run's merged timeline kept).
 //   hist.<family>.<alg>  log2-bucketed latency histogram: 25 payload-size
 //                   buckets (log2 bytes, clamped to 24) x 16 latency buckets
 //                   (log2 virtual ns, first bucket < 128 ns), size-major.
@@ -582,11 +564,42 @@ int XMPI_T_pvar_read(int index, unsigned long long* values, int* count);
 /// Resets pvar `index` (histograms and `p2p.wait_time_ns`); MPI_ERR_OTHER
 /// for read-only variables.
 int XMPI_T_pvar_reset(int index);
-/// Reports the last traced run's ring accounting (any pointer may be null):
-/// events recorded (including overwritten), events dropped to ring
-/// overflow, and events retained in the merged timeline.
-int XMPI_T_trace_stats(unsigned long long* recorded, unsigned long long* dropped,
-                       unsigned long long* merged);
+
+// ---------------------------------------------------------------------------
+// Control variables (MPI_T-style cvars).
+//
+// Every runtime knob is one row of a control-variable table: a dotted name
+// ("shm.enabled"), its environment variable (XMPI_SHM), a type and range, a
+// default, the fallback an invalid environment value resolves to, and
+// whether a write invalidates cached schedules. Each row resolves as
+// control write > environment > default. The environment is read once per
+// cycle (XMPI_T_alg_env_refresh starts the next one); an invalid value
+// warns once per cycle on stderr, naming the variable, and takes the
+// row's fallback. The per-knob calls (XMPI_T_alg_set, XMPI_T_shm_set, ...)
+// are writes to the same rows. README.md lists every row.
+//
+// Values are text: a decimal integer, an algorithm name or "auto", or a
+// path. Path rows (XMPI_TRACE, XMPI_TUNE_PROFILE) are read-only.
+// ---------------------------------------------------------------------------
+
+/// Where a control variable's effective value came from.
+inline constexpr int XMPI_T_CVAR_SOURCE_DEFAULT = 0;
+inline constexpr int XMPI_T_CVAR_SOURCE_ENV = 1;  ///< also an invalid value's fallback
+inline constexpr int XMPI_T_CVAR_SOURCE_CONTROL = 2;
+
+/// Reports the number of control variables.
+int XMPI_T_cvar_num(int* num);
+/// Copies cvar `index`'s name and environment variable into `name` and
+/// `env` (either may be null; truncated, always NUL-terminated).
+int XMPI_T_cvar_name(int index, char* name, int namelen, char* env, int envlen);
+/// Writes cvar `index`'s effective value as text into `value` (may be
+/// null; MPI_ERR_ARG when `valuelen` is too small) and its source
+/// (XMPI_T_CVAR_SOURCE_*) into `source` (may be null).
+int XMPI_T_cvar_read(int index, char* value, int valuelen, int* source);
+/// Pins cvar `index` to `value`, parsed as the environment variable would
+/// be (MPI_ERR_ARG when it does not parse or the row is read-only). NULL
+/// or "" drops the pin and exposes the environment again.
+int XMPI_T_cvar_write(int index, const char* value);
 
 /// Critical-path attribution of one traced collective invocation (see
 /// XMPI_T_trace_attribution).

@@ -125,7 +125,7 @@ struct Counters {
     Stat intra_node_messages;
     Stat intra_node_bytes;
     /// @name Collective schedule-compilation accounting (also exposed inside
-    /// a rank via XMPI_T_sched_stats). A "build" materializes a schedule's
+    /// a rank as the counters.schedule_* pvars). A "build" materializes a schedule's
     /// step program and arena (one-shot miss or persistent init); a "hit"
     /// serves a blocking/nonblocking collective by re-arming a cached
     /// schedule instead; an "eviction" drops a cache entry (LRU pressure or

@@ -11,13 +11,12 @@
 
 #include <chrono>
 #include <condition_variable>
-#include <cstdlib>
 #include <mutex>
 #include <thread>
 #include <vector>
 
 #include "algorithms/schedule.hpp"
-#include "env.hpp"
+#include "cvar.hpp"
 #include "internal.hpp"
 #include "trace/trace.hpp"
 
@@ -54,64 +53,7 @@ GlobalStats& g_pstats() {
     return s;
 }
 
-/// Control pin (-1 follow env / 0 off / 1 on) and lazily resolved env state
-/// (-1 unresolved). Same layering as the shm transport's XMPI_SHM /
-/// XMPI_T_shm_set pair; the engine itself is instantiated per universe at
-/// launch, so a flipped control takes effect at the next xmpi::run.
-std::atomic<int> g_forced{-1};
-std::atomic<int> g_env_enabled{-1};
-std::atomic<int> g_env_threads{-1};
-std::atomic<long long> g_env_min_bytes{-1};
-std::mutex g_env_mutex;
-
 thread_local bool t_on_progress_thread = false;
-
-int resolve_env_enabled() {
-    int v = g_env_enabled.load(std::memory_order_acquire);
-    if (v >= 0) return v;
-    std::lock_guard<std::mutex> lock(g_env_mutex);
-    v = g_env_enabled.load(std::memory_order_relaxed);
-    if (v >= 0) return v;
-    char const* e = std::getenv("XMPI_ASYNC_PROGRESS");
-    if (e == nullptr || *e == '\0') {
-        v = 0;  // opt-in: absent means synchronous progress, as before
-    } else {
-        v = static_cast<int>(envutil::parse_env_int(
-            "XMPI_ASYNC_PROGRESS", 0, 0, 1,
-            "is not 0 or 1; leaving asynchronous progress disabled"));
-    }
-    g_env_enabled.store(v, std::memory_order_release);
-    return v;
-}
-
-int resolve_env_threads() {
-    int v = g_env_threads.load(std::memory_order_acquire);
-    if (v > 0) return v;
-    std::lock_guard<std::mutex> lock(g_env_mutex);
-    v = g_env_threads.load(std::memory_order_relaxed);
-    if (v > 0) return v;
-    v = static_cast<int>(envutil::parse_env_int(
-        "XMPI_PROGRESS_THREADS", 1, 1, 16,
-        "is not a thread count in [1, 16]; using 1 progress thread"));
-    g_env_threads.store(v, std::memory_order_release);
-    return v;
-}
-
-long long resolve_env_min_bytes() {
-    long long v = g_env_min_bytes.load(std::memory_order_acquire);
-    if (v >= 0) return v;
-    std::lock_guard<std::mutex> lock(g_env_mutex);
-    v = g_env_min_bytes.load(std::memory_order_relaxed);
-    if (v >= 0) return v;
-    // Default crossover: a parked-worker wakeup costs O(10us) wall latency
-    // (Config::progress_wakeup); at host memcpy/mailbox bandwidth that is
-    // roughly 32 KiB of payload the engine could have hidden instead.
-    v = envutil::parse_env_int(
-        "XMPI_PROGRESS_MIN_BYTES", 32768, 0, (1ll << 40),
-        "is not a byte threshold; keeping the 32 KiB offload floor");
-    g_env_min_bytes.store(v, std::memory_order_release);
-    return v;
-}
 
 }  // namespace
 
@@ -338,22 +280,12 @@ private:
 // Public surface
 // ---------------------------------------------------------------------------
 
-bool enabled() {
-    int const forced = g_forced.load(std::memory_order_acquire);
-    if (forced >= 0) return forced != 0;
-    return resolve_env_enabled() != 0;
-}
+bool enabled() { return cvar::get(cvar::Id::async_progress) != 0; }
 
-int thread_count() { return resolve_env_threads(); }
+int thread_count() { return static_cast<int>(cvar::get(cvar::Id::progress_threads)); }
 
 std::uint64_t min_offload_bytes() {
-    return static_cast<std::uint64_t>(resolve_env_min_bytes());
-}
-
-void refresh_env() {
-    g_env_enabled.store(-1, std::memory_order_release);
-    g_env_threads.store(-1, std::memory_order_release);
-    g_env_min_bytes.store(-1, std::memory_order_release);
+    return static_cast<std::uint64_t>(cvar::get(cvar::Id::progress_min_bytes));
 }
 
 void start(Universe* u) {
@@ -402,12 +334,5 @@ Stats stats() {
     s.handoff_ns = g.handoff_ns.load(std::memory_order_relaxed);
     return s;
 }
-
-/// @name Control backends for XMPI_T_progress_set/get (registry.cpp owns
-/// the public entry points alongside the other XMPI_T controls).
-/// @{
-void set_forced(int v) { g_forced.store(v < 0 ? -1 : (v != 0 ? 1 : 0), std::memory_order_release); }
-int get_forced() { return g_forced.load(std::memory_order_acquire); }
-/// @}
 
 }  // namespace xmpi::detail::progress

@@ -49,21 +49,18 @@ class Schedule;
 namespace xmpi::detail::progress {
 
 /// True when the asynchronous progress engine is enabled for new universes
-/// (XMPI_T_progress_set control > XMPI_ASYNC_PROGRESS env > off).
+/// (the `progress.enabled` control variable: XMPI_T_progress_set control >
+/// XMPI_ASYNC_PROGRESS env > off).
 bool enabled();
 
-/// Number of progress threads a new engine spawns (XMPI_PROGRESS_THREADS,
-/// clamped to [1, 16], default 1).
+/// Number of progress threads a new engine spawns (`progress.threads`,
+/// XMPI_PROGRESS_THREADS in [1, 16], default 1).
 int thread_count();
 
 /// Payload-byte threshold below which schedules stay synchronous
-/// (XMPI_PROGRESS_MIN_BYTES; 0 offloads everything eligible).
+/// (`progress.min_bytes`, XMPI_PROGRESS_MIN_BYTES; 0 offloads everything
+/// eligible).
 std::uint64_t min_offload_bytes();
-
-/// Re-reads the XMPI_ASYNC_PROGRESS / XMPI_PROGRESS_THREADS /
-/// XMPI_PROGRESS_MIN_BYTES environment (warn-once state re-armed). Called
-/// from XMPI_T_alg_env_refresh.
-void refresh_env();
 
 /// Starts the engine for `u` when enabled (no-op otherwise). Must run
 /// before rank threads exist; pairs with stop().
@@ -102,11 +99,5 @@ struct Stats {
     std::uint64_t handoff_ns = 0;           ///< cumulative arm -> first-engine-touch latency
 };
 Stats stats();
-
-/// Backend of the XMPI_T_progress_set/get control: -1 defers to the
-/// environment, 0 forces the engine off, 1 forces it on (for universes
-/// started after the call).
-void set_forced(int v);
-int get_forced();
 
 }  // namespace xmpi::detail::progress

@@ -1,12 +1,11 @@
 /// @file shm.cpp
 /// @brief Shared-memory transport: per-node rendezvous cell registry,
-/// publish/get/drain protocol waits, enablement resolution and live stats.
+/// publish/get/drain protocol waits, enablement and live stats.
 #include "shm.hpp"
 
 #include <chrono>
 
-#include "../algorithms/algorithms.hpp"
-#include "../env.hpp"
+#include "../cvar.hpp"
 
 namespace xmpi::detail::shm {
 
@@ -61,34 +60,6 @@ struct GlobalStats {
 GlobalStats& g_stats() {
     static GlobalStats s;
     return s;
-}
-
-/// Control pin (-1 follow env / 0 off / 1 on) and the lazily resolved
-/// environment state (-1 unresolved). Same layering as the schedule cache's
-/// XMPI_SCHED_CACHE / XMPI_T_sched_cache_set pair.
-std::atomic<int> g_forced{-1};
-std::atomic<int> g_env_enabled{-1};
-std::mutex g_env_mutex;
-
-int resolve_env_enabled() {
-    int v = g_env_enabled.load(std::memory_order_acquire);
-    if (v >= 0) return v;
-    std::lock_guard<std::mutex> lock(g_env_mutex);
-    v = g_env_enabled.load(std::memory_order_relaxed);
-    if (v >= 0) return v;
-    char const* e = std::getenv("XMPI_SHM");
-    if (e == nullptr || *e == '\0') {
-        v = 1;
-    } else {
-        // Unlike most knobs the garbage fallback is *off*, not the default:
-        // a mistyped XMPI_SHM must never silently leave direct peer-buffer
-        // access enabled.
-        v = static_cast<int>(detail::envutil::parse_env_int(
-            "XMPI_SHM", 0, 0, 1,
-            "is not 0 or 1; disabling the shared-memory transport"));
-    }
-    g_env_enabled.store(v, std::memory_order_release);
-    return v;
 }
 
 }  // namespace
@@ -168,25 +139,7 @@ int wait_drained(Block& b, Cell& c, MPI_Comm comm, bool blocking) {
     });
 }
 
-bool enabled() {
-    int const forced = g_forced.load(std::memory_order_acquire);
-    if (forced >= 0) return forced != 0;
-    return resolve_env_enabled() != 0;
-}
-
-void refresh_env() {
-    g_env_enabled.store(-1, std::memory_order_release);
-}
-
-void set_forced(int v) {
-    g_forced.store(v < 0 ? -1 : (v != 0 ? 1 : 0), std::memory_order_release);
-    // Cached schedules compiled against the other transport are stale now.
-    alg::bump_sched_epoch();
-}
-
-int get_forced() {
-    return g_forced.load(std::memory_order_acquire);
-}
+bool enabled() { return cvar::get(cvar::Id::shm) != 0; }
 
 Stats stats() {
     GlobalStats& g = g_stats();

@@ -126,22 +126,15 @@ void ack(Block& b, Cell& c);
 int wait_drained(Block& b, Cell& c, MPI_Comm comm, bool blocking);
 
 // ---------------------------------------------------------------------------
-// Enablement. The transport is on by default; XMPI_SHM=0 (or any value that
-// fails strict parsing — garbage disables, never aborts) turns it off, and
-// XMPI_T_shm_set pins it programmatically. Flipping the effective state bumps
-// the schedule-cache epoch (registry.cpp) so stale compositions are dropped.
+// Enablement: the `shm.enabled` control variable. The transport is on by
+// default; XMPI_SHM=0 (or any value that fails strict parsing — garbage
+// disables, never aborts) turns it off, and XMPI_T_shm_set pins it
+// programmatically. A write bumps the schedule-cache epoch so stale
+// compositions are dropped.
 // ---------------------------------------------------------------------------
 
 /// Effective enablement: control pin > environment > default(on).
 bool enabled();
-
-/// Forgets the cached environment resolution; next enabled() re-reads.
-/// Wired into XMPI_T_alg_env_refresh.
-void refresh_env();
-
-/// Control-pin backend for XMPI_T_shm_set/get (-1 = follow environment).
-void set_forced(int v);
-int get_forced();
 
 // ---------------------------------------------------------------------------
 // Live transport statistics, exposed as `shm.*` pvars by the trace registry.

@@ -21,47 +21,18 @@
 #include <numeric>
 #include <unordered_map>
 
-#include "../env.hpp"
+#include "../cvar.hpp"
 #include "../internal.hpp"
 #include "../topo/topo.hpp"
 
 namespace xmpi::detail::sim {
 namespace {
 
-// ---------------------------------------------------------------------------
-// XMPI_T_sim_* state: event-limit knob (control > XMPI_SIM_EVENT_LIMIT env >
-// unlimited, invalid env warns once — the XMPI_ALG_* discipline) and the
-// process-wide accounting XMPI_T_sim_stats reports.
-// ---------------------------------------------------------------------------
-
-std::atomic<long long> g_forced_event_limit{-1};  ///< -1 = automatic
-std::atomic<bool> g_sim_env_resolved{false};
-std::atomic<long long> g_env_event_limit{0};  ///< 0 = unset/invalid = unlimited
-std::mutex g_sim_env_mutex;
-
+// Process-wide accounting, read by the `sim.*` pvars.
 std::atomic<unsigned long long> g_dry_builds{0};
 std::atomic<unsigned long long> g_tape_steps{0};
 std::atomic<unsigned long long> g_events{0};
 std::atomic<double> g_last_makespan{0.0};
-
-void resolve_sim_env_locked() {
-    long long const limit = envutil::parse_env_int(
-        "XMPI_SIM_EVENT_LIMIT", 0, 0, std::numeric_limits<long long>::max(),
-        "is not a non-negative event count; the simulator runs unlimited");
-    g_env_event_limit.store(limit, std::memory_order_relaxed);
-    g_sim_env_resolved.store(true, std::memory_order_release);
-}
-
-long long effective_event_limit() {
-    if (long long const forced = g_forced_event_limit.load(std::memory_order_relaxed);
-        forced >= 0)
-        return forced;
-    if (!g_sim_env_resolved.load(std::memory_order_acquire)) {
-        std::lock_guard<std::mutex> lock(g_sim_env_mutex);
-        if (!g_sim_env_resolved.load(std::memory_order_relaxed)) resolve_sim_env_locked();
-    }
-    return g_env_event_limit.load(std::memory_order_relaxed);
-}
 
 // ---------------------------------------------------------------------------
 // The synthetic communicator: a stack universe whose topology is the
@@ -255,7 +226,7 @@ struct EventLoop {
         std::vector<std::uint32_t> ready(static_cast<std::size_t>(p));
         for (int r = 0; r < p; ++r) ready[static_cast<std::size_t>(p - 1 - r)] = static_cast<std::uint32_t>(r);
 
-        long long const limit = effective_event_limit();
+        long long const limit = cvar::get(cvar::Id::sim_event_limit);
         std::uint64_t events = 0;
         int finished = 0;
 
@@ -321,8 +292,8 @@ struct EventLoop {
                 if (limit > 0 && events > static_cast<std::uint64_t>(limit)) {
                     *events_out = events;
                     *detail = "event limit (" + std::to_string(limit) +
-                              ") exceeded; raise it via XMPI_T_sim_event_limit_set or "
-                              "XMPI_SIM_EVENT_LIMIT";
+                              ") exceeded; raise the sim.event_limit control variable "
+                              "(XMPI_SIM_EVENT_LIMIT)";
                     return MPI_ERR_OTHER;
                 }
             }
@@ -481,36 +452,13 @@ Result simulate(World const& w, CollSpec const& spec, Options const& opt) {
     return res;
 }
 
-void reset_sim_env_cache_for_testing() {
-    envutil::reset_warnings();  // a fresh resolution re-warns on invalid values
-    std::lock_guard<std::mutex> lock(g_sim_env_mutex);
-    g_sim_env_resolved.store(false, std::memory_order_release);
+Stats stats() {
+    Stats s;
+    s.dry_builds = g_dry_builds.load(std::memory_order_relaxed);
+    s.tape_steps = g_tape_steps.load(std::memory_order_relaxed);
+    s.events = g_events.load(std::memory_order_relaxed);
+    s.last_makespan = g_last_makespan.load(std::memory_order_relaxed);
+    return s;
 }
 
 }  // namespace xmpi::detail::sim
-
-// ---------------------------------------------------------------------------
-// Control API (declared in <xmpi/mpi.h>).
-// ---------------------------------------------------------------------------
-
-int XMPI_T_sim_event_limit_set(long long limit) {
-    if (limit < -1) return MPI_ERR_ARG;
-    xmpi::detail::sim::g_forced_event_limit.store(limit, std::memory_order_relaxed);
-    return MPI_SUCCESS;
-}
-
-int XMPI_T_sim_event_limit_get(long long* limit) {
-    if (limit == nullptr) return MPI_ERR_ARG;
-    *limit = xmpi::detail::sim::effective_event_limit();
-    return MPI_SUCCESS;
-}
-
-int XMPI_T_sim_stats(unsigned long long* dry_builds, unsigned long long* tape_steps,
-                     unsigned long long* events, double* last_makespan) {
-    using namespace xmpi::detail::sim;
-    if (dry_builds != nullptr) *dry_builds = g_dry_builds.load(std::memory_order_relaxed);
-    if (tape_steps != nullptr) *tape_steps = g_tape_steps.load(std::memory_order_relaxed);
-    if (events != nullptr) *events = g_events.load(std::memory_order_relaxed);
-    if (last_makespan != nullptr) *last_makespan = g_last_makespan.load(std::memory_order_relaxed);
-    return MPI_SUCCESS;
-}

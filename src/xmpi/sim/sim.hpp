@@ -100,8 +100,13 @@ int select_at_scale(World const& w, CollSpec const& spec);
 /// Registry name of algorithm `alg` of `f` ("?" when out of range).
 char const* alg_name(Family f, int alg);
 
-/// Testing hook mirroring alg::reset_env_cache_for_testing: forgets the
-/// cached XMPI_SIM_EVENT_LIMIT resolution (re-arming its one-time warning).
-void reset_sim_env_cache_for_testing();
+/// Process-wide simulator accounting, read by the `sim.*` pvars.
+struct Stats {
+    std::uint64_t dry_builds = 0;  ///< per-rank dry schedule builds
+    std::uint64_t tape_steps = 0;  ///< recorded tape steps
+    std::uint64_t events = 0;      ///< executed events
+    double last_makespan = 0.0;    ///< most recent simulation, virtual seconds
+};
+Stats stats();
 
 }  // namespace xmpi::detail::sim

@@ -1,40 +1,19 @@
 /// @file topo.cpp
-/// @brief Topology resolution (control > env > config), the per-communicator
-/// node structure cache, and the XMPI_T_topo_* control API.
+/// @brief Topology resolution (control > env > config) and the
+/// per-communicator node structure cache.
 #include "topo.hpp"
 
-#include <atomic>
-#include <cstdlib>
-#include <limits>
 #include <unordered_map>
 
-#include "../env.hpp"
+#include "../cvar.hpp"
 #include "../internal.hpp"
 
 namespace xmpi::detail::topo {
-namespace {
-
-/// Control-API override: >0 pins a block mapping, 0 means automatic
-/// (environment, then Config).
-std::atomic<int> g_forced_ranks_per_node{0};
-
-/// Parses a positive integer environment variable; 0 when unset. Invalid
-/// values (trailing garbage, non-positive) warn once and fall back — the
-/// same validated parse as every other xmpi env knob (the old strtol path
-/// accepted trailing garbage and silently ignored bad values).
-int env_int(char const* name) {
-    return static_cast<int>(envutil::parse_env_int(
-        name, 0, 1, std::numeric_limits<int>::max(),
-        "is not a positive rank count; falling back to the configured topology"));
-}
-
-}  // namespace
 
 int resolve_ranks_per_node(int world_size, Config const& cfg) {
-    int rpn = g_forced_ranks_per_node.load(std::memory_order_relaxed);
-    if (rpn <= 0) rpn = env_int("XMPI_RANKS_PER_NODE");
+    auto rpn = static_cast<int>(cvar::get(cvar::Id::ranks_per_node));
     if (rpn <= 0) {
-        if (int const nodes = env_int("XMPI_NODES"); nodes > 0) {
+        if (auto const nodes = static_cast<int>(cvar::get(cvar::Id::nodes)); nodes > 0) {
             rpn = (world_size + nodes - 1) / nodes;
         }
     }
@@ -122,28 +101,3 @@ NodeInfo const& node_info(MPI_Comm comm) {
 }
 
 }  // namespace xmpi::detail::topo
-
-// ---------------------------------------------------------------------------
-// Control API (declared in <xmpi/mpi.h>). Takes effect for universes created
-// after the call; a running universe's topology is immutable.
-// ---------------------------------------------------------------------------
-
-namespace xmpi::detail::alg {
-void bump_sched_epoch();  // algorithms/registry.cpp
-}
-
-int XMPI_T_topo_set(int ranks_per_node) {
-    if (ranks_per_node < 0) return MPI_ERR_ARG;
-    xmpi::detail::topo::g_forced_ranks_per_node.store(ranks_per_node, std::memory_order_relaxed);
-    // A topology change re-shapes hierarchical compositions; cached
-    // schedules from the previous shape must not be replayed.
-    xmpi::detail::alg::bump_sched_epoch();
-    return MPI_SUCCESS;
-}
-
-int XMPI_T_topo_get(int* ranks_per_node) {
-    if (ranks_per_node == nullptr) return MPI_ERR_ARG;
-    *ranks_per_node =
-        xmpi::detail::topo::g_forced_ranks_per_node.load(std::memory_order_relaxed);
-    return MPI_SUCCESS;
-}

@@ -1,5 +1,5 @@
 /// @file trace.cpp
-/// @brief Trace subsystem implementation: ring management and env resolution,
+/// @brief Trace subsystem implementation: ring management,
 /// the merged-timeline Chrome trace-event exporter, the log2 latency
 /// histograms, the MPI_T-style pvar registry, and the per-invocation
 /// critical-path attribution replay.
@@ -18,10 +18,11 @@
 #include <vector>
 
 #include "../algorithms/algorithms.hpp"
-#include "../env.hpp"
+#include "../cvar.hpp"
 #include "../internal.hpp"
 #include "../progress.hpp"
 #include "../shm/shm.hpp"
+#include "../sim/sim.hpp"
 
 namespace xmpi::detail::trace {
 
@@ -29,20 +30,16 @@ std::atomic<bool> g_on{false};
 
 namespace {
 
-constexpr char kEnvTrace[] = "XMPI_TRACE";
-constexpr char kEnvRing[] = "XMPI_TRACE_RING_EVENTS";
-constexpr std::size_t kDefaultRingEvents = 65536;
-
-/// Guards env resolution, the traced-universe count and the last-run state.
+/// Guards the resolved run configuration, the traced-universe count and
+/// the last-run state.
 std::mutex& mutex() {
     static std::mutex m;
     return m;
 }
 
-bool g_resolved = false;
 bool g_enabled = false;
 std::string g_path;
-std::size_t g_ring_events = kDefaultRingEvents;
+std::size_t g_ring_events = 0;
 int g_active_universes = 0;
 
 LastRun& last_run_locked() {
@@ -56,30 +53,17 @@ std::size_t round_pow2(std::size_t v) {
     return cap;
 }
 
-/// Reads XMPI_TRACE / XMPI_TRACE_RING_EVENTS once per resolution cycle.
-/// A set-but-garbage ring capacity warns once (via the shared warn-once
-/// registry) and disables tracing for the run; it never aborts.
+/// Reads the `trace.path` / `trace.ring_events` control variables. The
+/// ring capacity is read only when tracing is asked for; a garbage value
+/// resolves to 0 and disables tracing for the run.
 void resolve_locked() {
-    if (g_resolved) return;
-    g_resolved = true;
-    g_enabled = false;
-    g_path.clear();
-    g_ring_events = kDefaultRingEvents;
-    char const* const path = std::getenv(kEnvTrace);
-    if (path == nullptr || *path == '\0') return;
-    g_path = path;
-    g_enabled = true;
-    if (char const* const raw = std::getenv(kEnvRing); raw != nullptr && *raw != '\0') {
-        long long const v = envutil::parse_env_int(
-            kEnvRing, -1, 16, 1 << 22,
-            "is not a ring capacity in [16, 4194304]; tracing disabled");
-        if (v < 0) {
-            g_enabled = false;
-            g_path.clear();
-            return;
-        }
-        g_ring_events = round_pow2(static_cast<std::size_t>(v));
+    g_path = cvar::path(cvar::Id::trace);
+    g_ring_events = 0;
+    if (!g_path.empty()) {
+        long long const ring = cvar::get(cvar::Id::trace_ring_events);
+        if (ring > 0) g_ring_events = round_pow2(static_cast<std::size_t>(ring));
     }
+    g_enabled = g_ring_events > 0;
 }
 
 }  // namespace
@@ -184,11 +168,6 @@ void begin_universe(Universe& u) {
     }
     ++g_active_universes;
     g_on.store(true, std::memory_order_release);
-}
-
-void refresh_env() {
-    std::lock_guard<std::mutex> lock(mutex());
-    g_resolved = false;
 }
 
 namespace {
@@ -453,8 +432,7 @@ struct CounterField {
 };
 
 /// Every Counters field, by name. The static_assert below pins the struct
-/// size so adding a counter without extending this table (and the legacy
-/// stats structs' documentation) fails the build.
+/// size so adding a counter without extending this table fails the build.
 constexpr CounterField kCounterFields[] = {
     {"counters.p2p_messages", &Counters::p2p_messages},
     {"counters.p2p_bytes", &Counters::p2p_bytes},
@@ -496,9 +474,9 @@ std::vector<Pvar> build_pvar_table() {
                      },
                      nullptr});
     }
-    // Satellite of ISSUE 8: Counters::schedule_peak_scratch_bytes is per-rank
-    // state that RunResult aggregates by *max*. The `.rank` pvar above and
-    // XMPI_T_sched_stats both report the calling rank's own peak; `.max`
+    // Counters::schedule_peak_scratch_bytes is per-rank state that
+    // RunResult aggregates by *max*. The `.rank` pvar above reports the
+    // calling rank's own peak; `.max`
     // reduces over every rank of the calling rank's universe. The reduction
     // reads peer counters without locks, so it is exact only at quiescent
     // points (between collectives / after joins) — same contract as
@@ -535,35 +513,34 @@ std::vector<Pvar> build_pvar_table() {
                      return MPI_SUCCESS;
                  }});
 
-    auto sim_field = [](int idx) {
-        return [idx](unsigned long long* out) {
-            unsigned long long v[3] = {0, 0, 0};
-            double makespan = 0.0;
-            int const rc = XMPI_T_sim_stats(&v[0], &v[1], &v[2], &makespan);
-            if (rc != MPI_SUCCESS) return rc;
-            *out = idx < 3 ? v[idx]
-                           : static_cast<unsigned long long>(makespan * 1e9);
+    auto sim_field = [](auto get) {
+        return [get](unsigned long long* out) {
+            *out = get(sim::stats());
             return MPI_SUCCESS;
         };
     };
-    t.push_back({"sim.dry_builds", 1, sim_field(0), nullptr});
-    t.push_back({"sim.tape_steps", 1, sim_field(1), nullptr});
-    t.push_back({"sim.events", 1, sim_field(2), nullptr});
-    t.push_back({"sim.last_makespan_ns", 1, sim_field(3), nullptr});
+    t.push_back({"sim.dry_builds", 1, sim_field([](sim::Stats const& s) { return s.dry_builds; }),
+                 nullptr});
+    t.push_back({"sim.tape_steps", 1, sim_field([](sim::Stats const& s) { return s.tape_steps; }),
+                 nullptr});
+    t.push_back({"sim.events", 1, sim_field([](sim::Stats const& s) { return s.events; }),
+                 nullptr});
+    t.push_back({"sim.last_makespan_ns", 1,
+                 sim_field([](sim::Stats const& s) {
+                     return static_cast<unsigned long long>(s.last_makespan * 1e9);
+                 }),
+                 nullptr});
 
-    auto tune_field = [](int idx) {
-        return [idx](unsigned long long* out) {
-            unsigned long long v[4] = {0, 0, 0, 0};
-            int const rc = XMPI_T_tune_stats(&v[0], &v[1], &v[2], &v[3]);
-            if (rc != MPI_SUCCESS) return rc;
-            *out = v[idx];
+    auto tune_field = [](unsigned long long tune::Stats::*field) {
+        return [field](unsigned long long* out) {
+            *out = tune::stats().*field;
             return MPI_SUCCESS;
         };
     };
-    t.push_back({"tune.records", 1, tune_field(0), nullptr});
-    t.push_back({"tune.probes", 1, tune_field(1), nullptr});
-    t.push_back({"tune.demotions", 1, tune_field(2), nullptr});
-    t.push_back({"tune.recoveries", 1, tune_field(3), nullptr});
+    t.push_back({"tune.records", 1, tune_field(&tune::Stats::records), nullptr});
+    t.push_back({"tune.probes", 1, tune_field(&tune::Stats::probes), nullptr});
+    t.push_back({"tune.demotions", 1, tune_field(&tune::Stats::demotions), nullptr});
+    t.push_back({"tune.recoveries", 1, tune_field(&tune::Stats::recoveries), nullptr});
 
     auto trace_field = [](bool dropped) {
         return [dropped](unsigned long long* out) {
@@ -579,6 +556,12 @@ std::vector<Pvar> build_pvar_table() {
     };
     t.push_back({"trace.events_recorded", 1, trace_field(false), nullptr});
     t.push_back({"trace.events_dropped", 1, trace_field(true), nullptr});
+    t.push_back({"trace.events_merged", 1,
+                 [](unsigned long long* out) {
+                     *out = trace::last_run().records.size();
+                     return MPI_SUCCESS;
+                 },
+                 nullptr});
 
     // Zero-copy shared-memory transport (src/xmpi/shm): effective
     // enablement plus the process-wide operation counts.
@@ -737,15 +720,6 @@ int XMPI_T_pvar_reset(int index) {
     Pvar const& p = t[static_cast<std::size_t>(index)];
     if (!p.reset) return MPI_ERR_OTHER;
     return p.reset();
-}
-
-int XMPI_T_trace_stats(unsigned long long* recorded, unsigned long long* dropped,
-                       unsigned long long* merged) {
-    auto const lr = xmpi::detail::trace::last_run();
-    if (recorded != nullptr) *recorded = lr.recorded;
-    if (dropped != nullptr) *dropped = lr.dropped;
-    if (merged != nullptr) *merged = static_cast<unsigned long long>(lr.records.size());
-    return MPI_SUCCESS;
 }
 
 // ---------------------------------------------------------------------------

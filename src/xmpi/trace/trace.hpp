@@ -5,8 +5,8 @@
 /// single relaxed atomic load + branch per hook site when `XMPI_TRACE` is
 /// unset.
 ///
-/// Knobs (all read lazily at the first universe launch, re-read after
-/// `XMPI_T_alg_env_refresh`):
+/// Knobs (control variables, read at each universe launch; the environment
+/// is re-read after `XMPI_T_alg_env_refresh`):
 ///   XMPI_TRACE=<path>         enable tracing; merged Chrome trace-event JSON
 ///                             is written to <path> when the universe ends.
 ///                             An empty value leaves tracing off.
@@ -156,7 +156,7 @@ inline void ev(Ev kind, int peer, int tag, std::uint64_t bytes,
 // Lifecycle, driven by xmpi::run().
 // ---------------------------------------------------------------------------
 
-/// Resolves the env knobs (once per refresh) and, when tracing is enabled,
+/// Reads the trace knobs and, when tracing is enabled,
 /// allocates one ring per rank and raises `g_on`.
 void begin_universe(Universe& u);
 
@@ -164,10 +164,6 @@ void begin_universe(Universe& u);
 /// merged timeline for pvar/attribution access, writes the Chrome
 /// trace-event JSON if a path was configured, and lowers `g_on`.
 void end_universe(Universe& u);
-
-/// Forgets the cached env resolution; next begin_universe re-reads.
-/// Called by XMPI_T_alg_env_refresh.
-void refresh_env();
 
 // ---------------------------------------------------------------------------
 // Merged last-run timeline (available after end_universe; used by the pvar

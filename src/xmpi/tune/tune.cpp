@@ -13,10 +13,11 @@
 #include <limits>
 #include <map>
 #include <mutex>
+#include <string>
 #include <vector>
 
 #include "../algorithms/schedule.hpp"
-#include "../env.hpp"
+#include "../cvar.hpp"
 #include "../internal.hpp"
 #include "../shm/shm.hpp"
 #include "../topo/topo.hpp"
@@ -53,12 +54,10 @@ std::atomic<double> g_eff[kParams] = {kUnset, kUnset, kUnset, kUnset,
                                       kUnset, kUnset, kUnset, kUnset};
 std::atomic<bool> g_overlay_active{false};
 
-/// Feedback switch: control pin (-1 auto / 0 off / 1 on) over XMPI_TUNE.
-std::atomic<int> g_feedback_control{-1};
-std::atomic<int> g_env_feedback{0};
-std::atomic<bool> g_env_resolved{false};
+/// cvar::generation() at which XMPI_TUNE_PROFILE was last parsed.
+std::atomic<std::uint64_t> g_profile_generation{~0ull};
 
-/// Feedback-loop statistics (process-global, reported by XMPI_T_tune_stats).
+/// Feedback-loop statistics (process-global, read by the `tune.*` pvars).
 std::atomic<unsigned long long> g_records{0};
 std::atomic<unsigned long long> g_probes{0};
 std::atomic<unsigned long long> g_demotions{0};
@@ -112,7 +111,7 @@ struct Pref {
 };
 
 void warn_profile(char const* path, char const* detail, int lineno) {
-    if (!envutil::arm_warning("XMPI_TUNE_PROFILE")) return;
+    if (!cvar::warn_once(cvar::Id::tune_profile)) return;
     if (lineno > 0) {
         std::fprintf(stderr,
                      "xmpi: XMPI_TUNE_PROFILE=\"%s\" line %d: %s; "
@@ -253,17 +252,13 @@ bool parse_profile_file(char const* path, double out[kParams], std::vector<Pref>
 /// below the feedback table). Caller holds g_mutex.
 void apply_prefs_locked(std::vector<Pref> const& prefs);
 
-/// Resolves XMPI_TUNE and XMPI_TUNE_PROFILE once per process (re-armed by
-/// refresh_env). Caller holds g_mutex.
-void resolve_env_locked() {
-    g_env_feedback.store(
-        static_cast<int>(envutil::parse_env_int("XMPI_TUNE", 0, 0, 1,
-                                                "is not 0/1; tuning feedback stays disabled")),
-        std::memory_order_relaxed);
+/// Parses XMPI_TUNE_PROFILE once per control-variable refresh cycle.
+/// Caller holds g_mutex.
+void resolve_env_locked(std::uint64_t generation) {
     double parsed[kParams] = {kUnset, kUnset, kUnset, kUnset, kUnset, kUnset, kUnset, kUnset};
     std::vector<Pref> prefs;
-    if (char const* path = std::getenv("XMPI_TUNE_PROFILE"); path != nullptr && *path != '\0') {
-        if (!parse_profile_file(path, parsed, &prefs)) {
+    if (std::string const path = cvar::path(cvar::Id::tune_profile); !path.empty()) {
+        if (!parse_profile_file(path.c_str(), parsed, &prefs)) {
             for (double& v : parsed) v = kUnset;  // all-or-nothing fallback
             prefs.clear();
         }
@@ -271,13 +266,16 @@ void resolve_env_locked() {
     for (int i = 0; i < kParams; ++i) g_env[i] = parsed[i];
     apply_prefs_locked(prefs);
     recompute_effective_locked();
-    g_env_resolved.store(true, std::memory_order_release);
+    g_profile_generation.store(generation, std::memory_order_release);
 }
 
 void ensure_env_resolved() {
-    if (g_env_resolved.load(std::memory_order_acquire)) return;
+    std::uint64_t const generation = cvar::generation();
+    if (g_profile_generation.load(std::memory_order_acquire) == generation) return;
     std::lock_guard<std::mutex> lock(g_mutex);
-    if (!g_env_resolved.load(std::memory_order_relaxed)) resolve_env_locked();
+    if (g_profile_generation.load(std::memory_order_relaxed) != generation) {
+        resolve_env_locked(generation);
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -380,11 +378,7 @@ void overlay(bench::model::TwoTier& t) {
     }
 }
 
-bool feedback_enabled() {
-    if (int const c = g_feedback_control.load(std::memory_order_relaxed); c >= 0) return c != 0;
-    ensure_env_resolved();
-    return g_env_feedback.load(std::memory_order_relaxed) != 0;
-}
+bool feedback_enabled() { return cvar::get(cvar::Id::tune) != 0; }
 
 int pick(int family, int p, std::size_t bytes, unsigned long long seq, int model_pick,
          unsigned valid_mask) {
@@ -460,11 +454,6 @@ void record(int family, int p, std::size_t bytes, int alg, double elapsed) {
                   bytes, 0, family, demoted_to >= 0 ? demoted_to : alg);
         alg::bump_sched_epoch();
     }
-}
-
-void refresh_env() {
-    std::lock_guard<std::mutex> lock(g_mutex);
-    resolve_env_locked();
 }
 
 }  // namespace xmpi::detail::tune
@@ -626,10 +615,7 @@ int calibrate(MPI_Comm comm) {
 
 int set_control(char const* key, double value) {
     if (key != nullptr && std::strcmp(key, "feedback") == 0) {
-        g_feedback_control.store(value < 0 ? -1 : (value != 0 ? 1 : 0),
-                                 std::memory_order_relaxed);
-        alg::bump_sched_epoch();
-        return MPI_SUCCESS;
+        return cvar::pin(cvar::Id::tune, value < 0 ? -1 : (value != 0 ? 1 : 0), -1);
     }
     int const i = param_index(key);
     if (i < 0) return MPI_ERR_ARG;
@@ -697,13 +683,13 @@ int save_profile(char const* path) {
     return MPI_SUCCESS;
 }
 
-int stats(unsigned long long* records, unsigned long long* probes,
-          unsigned long long* demotions, unsigned long long* recoveries) {
-    if (records != nullptr) *records = g_records.load(std::memory_order_relaxed);
-    if (probes != nullptr) *probes = g_probes.load(std::memory_order_relaxed);
-    if (demotions != nullptr) *demotions = g_demotions.load(std::memory_order_relaxed);
-    if (recoveries != nullptr) *recoveries = g_recoveries.load(std::memory_order_relaxed);
-    return MPI_SUCCESS;
+Stats stats() {
+    Stats s;
+    s.records = g_records.load(std::memory_order_relaxed);
+    s.probes = g_probes.load(std::memory_order_relaxed);
+    s.demotions = g_demotions.load(std::memory_order_relaxed);
+    s.recoveries = g_recoveries.load(std::memory_order_relaxed);
+    return s;
 }
 
 int reset() {
@@ -738,10 +724,5 @@ int XMPI_T_tune_get(const char* key, double* value) {
 int XMPI_T_tune_calibrate(MPI_Comm comm) { return xmpi::detail::tune::calibrate(comm); }
 
 int XMPI_T_tune_save(const char* path) { return xmpi::detail::tune::save_profile(path); }
-
-int XMPI_T_tune_stats(unsigned long long* records, unsigned long long* probes,
-                      unsigned long long* demotions, unsigned long long* recoveries) {
-    return xmpi::detail::tune::stats(records, probes, demotions, recoveries);
-}
 
 int XMPI_T_tune_reset(void) { return xmpi::detail::tune::reset(); }

@@ -69,8 +69,13 @@ int pick(int family, int p, std::size_t bytes, unsigned long long seq, int model
 /// schedule-cache epoch when the preference flips.
 void record(int family, int p, std::size_t bytes, int alg, double elapsed);
 
-/// Re-resolves XMPI_TUNE / XMPI_TUNE_PROFILE (called from
-/// XMPI_T_alg_env_refresh alongside the other tuning knobs).
-void refresh_env();
+/// Process-wide feedback-loop accounting, read by the `tune.*` pvars.
+struct Stats {
+    unsigned long long records = 0;
+    unsigned long long probes = 0;
+    unsigned long long demotions = 0;
+    unsigned long long recoveries = 0;
+};
+Stats stats();
 
 }  // namespace xmpi::detail::tune

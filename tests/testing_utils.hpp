@@ -10,6 +10,7 @@
 #include <cstdlib>
 #include <iostream>
 #include <random>
+#include <string>
 
 #include "xmpi/mpi.h"
 
@@ -60,10 +61,10 @@ struct SegPin {
 };
 
 /// Clears every XMPI_ALG_* pin for a scope, so tests of *automatic*
-/// selection behave identically under the forced-algorithms CI matrix
-/// (there is no control value meaning "ignore the environment" — an
-/// XMPI_T_alg_set "auto" defers to the environment by design). The
-/// destructor restores the variables and re-resolves.
+/// selection behave identically under the forced-algorithms CI matrix (an
+/// XMPI_T_alg_set "auto" defers to the environment by design, and the
+/// scope's own pins go through it). The destructor restores the variables
+/// and re-resolves.
 struct ScrubAlgEnv {
     static constexpr char const* kVars[5] = {"XMPI_ALG_BCAST", "XMPI_ALG_REDUCE",
                                              "XMPI_ALG_ALLGATHER", "XMPI_ALG_ALLREDUCE",
@@ -89,6 +90,90 @@ struct ScrubAlgEnv {
     ScrubAlgEnv(ScrubAlgEnv const&) = delete;
     ScrubAlgEnv& operator=(ScrubAlgEnv const&) = delete;
 };
+
+/// Sets (or, without a value, unsets) an environment variable for a scope,
+/// starting a new control-variable cycle (XMPI_T_alg_env_refresh) on entry
+/// and exit so the change is seen.
+struct EnvVar {
+    explicit EnvVar(char const* name, char const* value = nullptr) : name_(name) {
+        if (char const* const old = std::getenv(name)) {
+            had_ = true;
+            old_ = old;
+        }
+        if (value != nullptr) {
+            setenv(name, value, 1);
+        } else {
+            unsetenv(name);
+        }
+        XMPI_T_alg_env_refresh();
+    }
+    EnvVar(char const* name, std::string const& value) : EnvVar(name, value.c_str()) {}
+    ~EnvVar() {
+        if (had_) {
+            setenv(name_, old_.c_str(), 1);
+        } else {
+            unsetenv(name_);
+        }
+        XMPI_T_alg_env_refresh();
+    }
+    EnvVar(EnvVar const&) = delete;
+    EnvVar& operator=(EnvVar const&) = delete;
+
+private:
+    char const* name_;
+    bool had_ = false;
+    std::string old_;
+};
+
+/// Number of non-overlapping occurrences of `needle` in `hay`.
+inline std::size_t count_occurrences(std::string const& hay, std::string const& needle) {
+    std::size_t n = 0;
+    for (std::size_t at = hay.find(needle); at != std::string::npos;
+         at = hay.find(needle, at + needle.size()))
+        ++n;
+    return n;
+}
+
+/// Index of the control variable called `name` ("shm.enabled"), -1 when
+/// there is none.
+inline int cvar_index(std::string const& name) {
+    int num = 0;
+    XMPI_T_cvar_num(&num);
+    char buf[128];
+    for (int i = 0; i < num; ++i) {
+        if (XMPI_T_cvar_name(i, buf, sizeof(buf), nullptr, 0) == MPI_SUCCESS && name == buf)
+            return i;
+    }
+    return -1;
+}
+
+/// Index of the pvar called `name`, -1 when there is none.
+inline int pvar_index(std::string const& name) {
+    int num = 0;
+    XMPI_T_pvar_num(&num);
+    char buf[128];
+    for (int i = 0; i < num; ++i) {
+        if (XMPI_T_pvar_name(i, buf, sizeof(buf), nullptr) == MPI_SUCCESS && name == buf) return i;
+    }
+    return -1;
+}
+
+/// Reads scalar pvar `index`; an unreadable variable fails the calling test.
+inline unsigned long long pvar_u64(int index) {
+    unsigned long long v = 0;
+    int count = 1;
+    EXPECT_EQ(XMPI_T_pvar_read(index, &v, &count), MPI_SUCCESS) << "pvar " << index;
+    EXPECT_EQ(count, 1);
+    return v;
+}
+
+/// Reads the scalar pvar called `name` ("counters.schedule_builds"); a
+/// missing or unreadable variable fails the calling test.
+inline unsigned long long pvar_u64(std::string const& name) {
+    int const index = pvar_index(name);
+    EXPECT_GE(index, 0) << "no pvar " << name;
+    return pvar_u64(index);
+}
 
 /// The seed for this test's randomness: XMPI_TEST_SEED if set (replay),
 /// otherwise a fresh nondeterministic one.

@@ -335,20 +335,6 @@ int const kMatmulCounts[] = {0, 4, 8, 20};
 
 }  // namespace
 
-TEST(Algorithms, ControlApiRoundTrip) {
-    char const* cur = nullptr;
-    ASSERT_EQ(XMPI_T_alg_get("allreduce", &cur), MPI_SUCCESS);
-    EXPECT_STREQ(cur, "auto");
-    ASSERT_EQ(XMPI_T_alg_set("allreduce", "rabenseifner"), MPI_SUCCESS);
-    ASSERT_EQ(XMPI_T_alg_get("allreduce", &cur), MPI_SUCCESS);
-    EXPECT_STREQ(cur, "rabenseifner");
-    ASSERT_EQ(XMPI_T_alg_set("allreduce", "auto"), MPI_SUCCESS);
-    EXPECT_EQ(XMPI_T_alg_set("allreduce", "nonexistent"), MPI_ERR_ARG);
-    EXPECT_EQ(XMPI_T_alg_set("notafamily", "flat"), MPI_ERR_ARG);
-    char buf[8];
-    EXPECT_EQ(XMPI_T_alg_list("allreduce", buf, sizeof buf), MPI_ERR_ARG);  // too small
-}
-
 TEST(Algorithms, EveryFamilyHasAtLeastTwoAlgorithms) {
     for (char const* family : {"bcast", "reduce", "allgather", "allreduce", "alltoall"}) {
         auto const names = list_algorithms(family);
@@ -1407,35 +1393,3 @@ TEST(Algorithms, HierarchicalAlltoallMixedShapes) {
     }
 }
 
-TEST(Algorithms, UnknownEnvAlgorithmWarnsOnceAndFallsBack) {
-    // The XMPI_ALG_* channel must not silently ignore typos: an unknown
-    // name warns once on stderr (naming the valid choices) and falls back
-    // to automatic selection.
-    char const* const saved = std::getenv("XMPI_ALG_REDUCE");
-    std::string const saved_value = saved != nullptr ? saved : "";
-    setenv("XMPI_ALG_REDUCE", "warpspeed", 1);
-    ASSERT_EQ(XMPI_T_alg_env_refresh(), MPI_SUCCESS);
-    ::testing::internal::CaptureStderr();
-    for (int repeat = 0; repeat < 2; ++repeat) {
-        xmpi::run(4, [](int rank) {
-            int v = rank + 1, sum = 0;
-            ASSERT_EQ(MPI_Reduce(&v, &sum, 1, MPI_INT, MPI_SUM, 0, MPI_COMM_WORLD), MPI_SUCCESS);
-            if (rank == 0) {
-                EXPECT_EQ(sum, 10);
-            }
-        });
-    }
-    std::string const err = ::testing::internal::GetCapturedStderr();
-    EXPECT_NE(err.find("XMPI_ALG_REDUCE"), std::string::npos) << err;
-    EXPECT_NE(err.find("warpspeed"), std::string::npos) << err;
-    EXPECT_NE(err.find("binomial"), std::string::npos) << err;  // names the valid choices
-    // One-time: the second run must not warn again.
-    EXPECT_EQ(err.find("XMPI_ALG_REDUCE", err.find("XMPI_ALG_REDUCE") + 1), std::string::npos)
-        << err;
-    if (saved != nullptr) {
-        setenv("XMPI_ALG_REDUCE", saved_value.c_str(), 1);
-    } else {
-        unsetenv("XMPI_ALG_REDUCE");
-    }
-    ASSERT_EQ(XMPI_T_alg_env_refresh(), MPI_SUCCESS);
-}

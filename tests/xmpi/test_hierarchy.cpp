@@ -1,6 +1,7 @@
 /// @file test_hierarchy.cpp
 /// @brief The hierarchical topology subsystem: rank->node resolution
-/// (control / env / config), MPI_Comm_split_type + MPI_COMM_TYPE_SHARED and
+/// (env / config; the control-variable precedence is covered by test_cvar),
+/// MPI_Comm_split_type + MPI_COMM_TYPE_SHARED and
 /// the KaMPIng split_by_node() wrapper, two-tier p2p cost accounting and
 /// counters, topology-aware algorithm selection (hierarchical on multi-node
 /// shapes, unchanged from the flat registry on degenerate ones), and the
@@ -45,18 +46,6 @@ std::string selected(char const* family) {
 // ---------------------------------------------------------------------------
 // Topology resolution and Comm_split_type
 // ---------------------------------------------------------------------------
-
-TEST(Topo, ControlRoundTrip) {
-    int rpn = -1;
-    ASSERT_EQ(XMPI_T_topo_get(&rpn), MPI_SUCCESS);
-    EXPECT_EQ(rpn, 0);
-    ASSERT_EQ(XMPI_T_topo_set(4), MPI_SUCCESS);
-    ASSERT_EQ(XMPI_T_topo_get(&rpn), MPI_SUCCESS);
-    EXPECT_EQ(rpn, 4);
-    ASSERT_EQ(XMPI_T_topo_set(0), MPI_SUCCESS);
-    EXPECT_EQ(XMPI_T_topo_set(-2), MPI_ERR_ARG);
-    EXPECT_EQ(XMPI_T_topo_get(nullptr), MPI_ERR_ARG);
-}
 
 TEST(Topo, SplitTypeSharedGroupsNodePeers) {
     TopoPin pin(4);  // 10 ranks -> nodes {0..3}, {4..7}, {8,9}
@@ -118,27 +107,23 @@ TEST(Topo, EnvironmentRanksPerNode) {
     if (env_pins("XMPI_RANKS_PER_NODE") || env_pins("XMPI_NODES")) {
         GTEST_SKIP() << "topology environment pinned externally";
     }
-    setenv("XMPI_RANKS_PER_NODE", "2", 1);
-    xmpi::run(5, [](int rank) {
-        MPI_Comm node = MPI_COMM_NULL;
-        MPI_Comm_split_type(MPI_COMM_WORLD, MPI_COMM_TYPE_SHARED, 0, MPI_INFO_NULL, &node);
-        int size = 0;
-        MPI_Comm_size(node, &size);
-        EXPECT_EQ(size, rank < 4 ? 2 : 1);  // ragged last node
-        MPI_Comm_free(&node);
-    });
-    unsetenv("XMPI_RANKS_PER_NODE");
+    auto node_sizes = [](int p) {
+        std::vector<int> sizes(static_cast<std::size_t>(p), 0);
+        xmpi::run(p, [&](int rank) {
+            MPI_Comm node = MPI_COMM_NULL;
+            MPI_Comm_split_type(MPI_COMM_WORLD, MPI_COMM_TYPE_SHARED, 0, MPI_INFO_NULL, &node);
+            MPI_Comm_size(node, &sizes[static_cast<std::size_t>(rank)]);
+            MPI_Comm_free(&node);
+        });
+        return sizes;
+    };
+    {
+        testing_utils::EnvVar const rpn("XMPI_RANKS_PER_NODE", "2");
+        EXPECT_EQ(node_sizes(5), (std::vector<int>{2, 2, 2, 2, 1}));  // ragged last node
+    }
     // XMPI_NODES divides the world into ceil(p / nodes) blocks.
-    setenv("XMPI_NODES", "3", 1);
-    xmpi::run(8, [](int rank) {
-        MPI_Comm node = MPI_COMM_NULL;
-        MPI_Comm_split_type(MPI_COMM_WORLD, MPI_COMM_TYPE_SHARED, 0, MPI_INFO_NULL, &node);
-        int size = 0;
-        MPI_Comm_size(node, &size);
-        EXPECT_EQ(size, rank < 6 ? 3 : 2);
-        MPI_Comm_free(&node);
-    });
-    unsetenv("XMPI_NODES");
+    testing_utils::EnvVar const nodes("XMPI_NODES", "3");
+    EXPECT_EQ(node_sizes(8), (std::vector<int>{3, 3, 3, 3, 3, 3, 2, 2}));
 }
 
 TEST(Topo, ConfigRanksPerNodeField) {
@@ -412,8 +397,7 @@ TEST(TopoHier, ReduceNodeAccumulatorOnlyOnLeaders) {
             EXPECT_EQ(out.front(), 36);
             EXPECT_EQ(out.back(), 36);
         }
-        unsigned long long peak = 0;
-        ASSERT_EQ(XMPI_T_sched_stats(nullptr, nullptr, nullptr, &peak), MPI_SUCCESS);
+        auto const peak = testing_utils::pvar_u64("counters.schedule_peak_scratch_bytes.rank");
         if (rank % 4 != 0) {
             EXPECT_LE(peak, 2 * vec) << "rank " << rank;
         }

@@ -1,5 +1,5 @@
 /// @file test_progress.cpp
-/// @brief Asynchronous progress engine: control round-trip, the offload
+/// @brief Asynchronous progress engine: the offload
 /// gate (small schedules stay on the wait-side progress path, large ones
 /// move to the engine), the central overlap guarantee (an offloaded
 /// schedule completes with *zero* application-thread progress calls),
@@ -7,7 +7,7 @@
 /// blocking / nonblocking / persistent collectives (including shm-on,
 /// trace-on and persistent restart), engine trace events on their own
 /// lane, and the fitted hierarchical-correction selection regression
-/// (XMPI_HIER_FIT).
+/// (kHierFitRatio).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -15,12 +15,14 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <mutex>
 #include <numeric>
 #include <string>
 #include <vector>
 
 #include "../testing_utils.hpp"
+#include "src/xmpi/algorithms/algorithms.hpp"
 #include "src/xmpi/internal.hpp"
 #include "src/xmpi/progress.hpp"
 #include "src/xmpi/trace/trace.hpp"
@@ -32,36 +34,12 @@ namespace {
 namespace xd = xmpi::detail;
 namespace xt = xmpi::detail::trace;
 
+using testing_utils::EnvVar;
 using testing_utils::ProgressPin;
+using testing_utils::pvar_index;
 using testing_utils::ScrubAlgEnv;
 using testing_utils::ShmPin;
 using testing_utils::TopoPin;
-
-/// setenv/unsetenv + env-refresh RAII (same contract as test_trace).
-struct EnvVar {
-    EnvVar(char const* name, std::string const& value) : name_(name) {
-        char const* const old = std::getenv(name);
-        had_ = old != nullptr;
-        if (had_) old_ = old;
-        setenv(name, value.c_str(), 1);
-        XMPI_T_alg_env_refresh();
-    }
-    ~EnvVar() {
-        if (had_) {
-            setenv(name_, old_.c_str(), 1);
-        } else {
-            unsetenv(name_);
-        }
-        XMPI_T_alg_env_refresh();
-    }
-    EnvVar(EnvVar const&) = delete;
-    EnvVar& operator=(EnvVar const&) = delete;
-
-private:
-    char const* name_;
-    bool had_ = false;
-    std::string old_;
-};
 
 /// Pins the measured-selection feedback off for the scope, so the fitted
 ///-ratio regression sees the pure cost-model argmin even under the
@@ -73,54 +51,26 @@ struct FeedbackOff {
     FeedbackOff& operator=(FeedbackOff const&) = delete;
 };
 
-int pvar_index(std::string const& name) {
-    int num = 0;
-    if (XMPI_T_pvar_num(&num) != MPI_SUCCESS) return -1;
-    char buf[128];
-    for (int i = 0; i < num; ++i) {
-        if (XMPI_T_pvar_name(i, buf, sizeof(buf), nullptr) != MPI_SUCCESS) return -1;
-        if (name == buf) return i;
+/// Pins the intra-node tier at `factor` x the network tier of `cfg` for the
+/// scope (tuning control pins).
+struct IntraTierPin {
+    IntraTierPin(xmpi::Config const& cfg, double factor) {
+        XMPI_T_tune_set("alpha_intra", cfg.alpha * factor);
+        XMPI_T_tune_set("beta_intra", cfg.beta * factor);
+        XMPI_T_tune_set("o_intra", cfg.o * factor);
     }
-    return -1;
-}
-
-unsigned long long pvar_read_scalar(int index) {
-    unsigned long long v = 0;
-    int count = 1;
-    EXPECT_EQ(XMPI_T_pvar_read(index, &v, &count), MPI_SUCCESS) << "pvar " << index;
-    EXPECT_EQ(count, 1);
-    return v;
-}
-
-unsigned long long pvar_by_name(std::string const& name) {
-    int const idx = pvar_index(name);
-    EXPECT_GE(idx, 0) << "missing pvar: " << name;
-    return idx >= 0 ? pvar_read_scalar(idx) : 0;
-}
+    ~IntraTierPin() {
+        for (char const* key : {"alpha_intra", "beta_intra", "o_intra"}) XMPI_T_tune_set(key, -1);
+    }
+    IntraTierPin(IntraTierPin const&) = delete;
+    IntraTierPin& operator=(IntraTierPin const&) = delete;
+};
 
 /// Payload large enough to clear the default XMPI_PROGRESS_MIN_BYTES gate
 /// (32 KiB) on every rank's schedule.
 constexpr int kBigCount = 32768;  // 32768 int64 = 256 KiB
 
 }  // namespace
-
-TEST(Progress, ControlRoundTrip) {
-    int on = -7;
-    ASSERT_EQ(XMPI_T_progress_get(&on), MPI_SUCCESS);
-    EXPECT_EQ(XMPI_T_progress_get(nullptr), MPI_ERR_ARG);
-    EXPECT_EQ(XMPI_T_progress_set(2), MPI_ERR_ARG);
-    EXPECT_EQ(XMPI_T_progress_set(-2), MPI_ERR_ARG);
-    {
-        ProgressPin pin(1);
-        ASSERT_EQ(XMPI_T_progress_get(&on), MPI_SUCCESS);
-        EXPECT_EQ(on, 1);
-    }
-    {
-        ProgressPin pin(0);
-        ASSERT_EQ(XMPI_T_progress_get(&on), MPI_SUCCESS);
-        EXPECT_EQ(on, 0);
-    }
-}
 
 TEST(Progress, PvarsRegistered) {
     for (char const* name :
@@ -147,8 +97,8 @@ TEST(Progress, GateKeepsSmallSchedulesSyncAndOffloadsLarge) {
         ASSERT_EQ(MPI_Wait(&req, MPI_STATUS_IGNORE), MPI_SUCCESS);
         EXPECT_EQ(out, 4);
     });
-    EXPECT_GT(pvar_by_name("progress.schedules_kept_sync"), 0ull);
-    EXPECT_EQ(pvar_by_name("progress.schedules_offloaded"), 0ull);
+    EXPECT_GT(testing_utils::pvar_u64("progress.schedules_kept_sync"), 0ull);
+    EXPECT_EQ(testing_utils::pvar_u64("progress.schedules_offloaded"), 0ull);
 
     xmpi::run(4, [](int) {
         std::vector<std::int64_t> v(kBigCount, 2), out(kBigCount, 0);
@@ -159,11 +109,11 @@ TEST(Progress, GateKeepsSmallSchedulesSyncAndOffloadsLarge) {
         ASSERT_EQ(MPI_Wait(&req, MPI_STATUS_IGNORE), MPI_SUCCESS);
         for (int i = 0; i < kBigCount; i += 1000) EXPECT_EQ(out[i], 8);
     });
-    EXPECT_GT(pvar_by_name("progress.schedules_offloaded"), 0ull);
-    EXPECT_GT(pvar_by_name("progress.completions"), 0ull);
-    EXPECT_EQ(pvar_by_name("progress.completions"),
-              pvar_by_name("progress.schedules_offloaded"));
-    EXPECT_GT(pvar_by_name("progress.steps_advanced"), 0ull);
+    EXPECT_GT(testing_utils::pvar_u64("progress.schedules_offloaded"), 0ull);
+    EXPECT_GT(testing_utils::pvar_u64("progress.completions"), 0ull);
+    EXPECT_EQ(testing_utils::pvar_u64("progress.completions"),
+              testing_utils::pvar_u64("progress.schedules_offloaded"));
+    EXPECT_GT(testing_utils::pvar_u64("progress.steps_advanced"), 0ull);
 }
 
 // The tentpole guarantee: with the engine owning a started persistent
@@ -194,7 +144,7 @@ TEST(Progress, OffloadedScheduleCompletesWithoutAppProgress) {
                     }
                 }
                 ASSERT_EQ(MPI_Request_free(&req), MPI_SUCCESS);
-                unsigned long long const calls = pvar_read_scalar(idx);
+                unsigned long long const calls = testing_utils::pvar_u64(idx);
                 static std::mutex m;
                 std::lock_guard<std::mutex> lock(m);
                 max_calls = std::max(max_calls, calls);
@@ -378,29 +328,32 @@ TEST(Progress, ForcedOffloadByteIdentical) {
     EXPECT_EQ(mixed_workload(0, 4, false), mixed_workload(1, 4, false));
 }
 
-// Satellite regression: the fitted per-composition correction ratios
-// (BENCH_sim.json fit_ratio) are applied in selection. The allreduce
-// hierarchical composition is priced ~20% cheaper than its closed form, so
-// across a size sweep the automatic choice must pick "hierarchical" at
-// least as often with the fit on — and strictly more often somewhere —
-// than with XMPI_HIER_FIT=0. Families whose ratio is 1.0 must be entirely
-// unaffected by the toggle.
+// The fitted per-composition correction ratios (BENCH_sim.json fit_ratio,
+// kHierFitRatio) are applied in selection. The allreduce hierarchical
+// composition is priced ~20% cheaper than its closed form, so across a
+// size sweep the fitted argmin must pick "hierarchical" at least as often
+// as the raw closed-form argmin — and strictly more often somewhere.
+// Families whose ratio is 1.0 must be entirely unaffected by the fit. Both
+// argmins are computed here from bench::model; automatic selection must
+// equal the fitted one.
 //
 // The sweep runs on a machine whose intra-node tier is priced at 0.8x the
 // network tier with the zero-copy transport off (a saturated-NUMA shape):
 // on the default machine the composition wins by 3-4x at every size, so no
 // 20% correction could move the argmin — it is exactly the near-crossover
 // machines the fit exists for, where the closed forms' overpricing
-// under-picks "hierarchical" (see kHierFitRatio in registry.cpp).
+// under-picks "hierarchical".
 TEST(Selection, HierFitRatioShiftsAllreduceCrossover) {
+    namespace alg = xmpi::detail::alg;
+    namespace model = bench::model;
     ScrubAlgEnv scrub;
     FeedbackOff no_feedback;
     ShmPin no_shm(0);
     TopoPin topo(4);  // 16 ranks on 4 nodes: hierarchy is a real candidate
-    xmpi::Config cfg;
-    cfg.alpha_intra = cfg.alpha * 0.8;
-    cfg.beta_intra = cfg.beta * 0.8;
-    cfg.o_intra = cfg.o * 0.8;
+    // Tuning pins beat an XMPI_TUNE_PROFILE, which would otherwise reprice
+    // a Config-only intra tier.
+    xmpi::Config const cfg;
+    IntraTierPin const intra(cfg, 0.8);
 
     auto selected_per_size = [&](char const* family, auto&& coll) {
         std::vector<std::string> out;
@@ -426,17 +379,44 @@ TEST(Selection, HierFitRatioShiftsAllreduceCrossover) {
                             MPI_COMM_WORLD),
                   MPI_SUCCESS);
     };
+    auto const ar_sel = selected_per_size("allreduce", allreduce);
+    auto const bc_sel = selected_per_size("bcast", bcast);
 
-    auto const ar_fit = selected_per_size("allreduce", allreduce);
-    auto const bc_fit = selected_per_size("bcast", bcast);
-    std::vector<std::string> ar_raw, bc_raw;
-    {
-        EnvVar off("XMPI_HIER_FIT", "0");
-        ar_raw = selected_per_size("allreduce", allreduce);
-        bc_raw = selected_per_size("bcast", bcast);
-    }
+    // The closed-form argmin as select() prices it: the universe's machine
+    // with the tuning overlay, every algorithm valid at p = 16 for an
+    // int64 sum, hierarchical entries scaled by `fit`.
+    model::TwoTier machine;  // its defaults are Config's
+    xmpi::detail::tune::overlay(machine);
+    model::NodeShape const shape{4, 4, 4};
+    auto argmin_per_size = [&](alg::Family f, bool fitted) {
+        std::vector<std::string> out;
+        for (std::size_t bytes = 64; bytes <= (1u << 22); bytes <<= 2) {
+            double const b = static_cast<double>(bytes);
+            double const hier = f == alg::Family::allreduce
+                                    ? model::allreduce_hier(machine, shape, 16, b, true, true, false)
+                                    : model::bcast_hier(machine, shape, 16, b, false);
+            double const fit = fitted ? alg::kHierFitRatio[static_cast<int>(f)] : 1.0;
+            std::string best;
+            double best_cost = std::numeric_limits<double>::infinity();
+            for (auto const& a : alg::algorithms(f)) {
+                double const c = a.hier ? hier * fit : a.cost(machine, shape, 16, b);
+                if (c < best_cost) {
+                    best_cost = c;
+                    best = a.name;
+                }
+            }
+            out.push_back(best);
+        }
+        return out;
+    };
+    auto const ar_fit = argmin_per_size(alg::Family::allreduce, true);
+    auto const ar_raw = argmin_per_size(alg::Family::allreduce, false);
+    auto const bc_fit = argmin_per_size(alg::Family::bcast, true);
+    auto const bc_raw = argmin_per_size(alg::Family::bcast, false);
+    EXPECT_EQ(ar_sel, ar_fit);
+    EXPECT_EQ(bc_sel, bc_fit);
 
-    // The bcast ratio is 1.0: the toggle must be invisible.
+    // The bcast ratio is 1.0: the fit must be invisible.
     EXPECT_EQ(bc_fit, bc_raw);
 
     // The allreduce discount can only ever *add* hierarchical picks.

@@ -3,10 +3,10 @@
 /// blocking/nonblocking collectives with stable arguments must re-arm a
 /// cached schedule (schedule_cache_hits), a cached re-run after the buffer
 /// contents changed must be byte-identical to a fresh build (the
-/// stale-snapshot hazard class), control-epoch bumps must evict, the
-/// XMPI_SCHED_CACHE / XMPI_SEGMENT_BYTES knobs must validate with the
-/// warn-once path, and the persistent gather/scatter(v) schedules must
-/// restart correctly with fresh inputs.
+/// stale-snapshot hazard class), control-epoch bumps must evict, and the
+/// persistent gather/scatter(v) schedules must restart correctly with fresh
+/// inputs. The XMPI_SCHED_CACHE / XMPI_SEGMENT_BYTES rows' precedence and
+/// validation are covered by test_cvar.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -41,42 +41,22 @@ struct SchedStats {
 };
 
 SchedStats stats_now() {
-    SchedStats s;
-    EXPECT_EQ(XMPI_T_sched_stats(&s.builds, &s.hits, &s.evictions, &s.peak_scratch), MPI_SUCCESS);
-    return s;
+    using testing_utils::pvar_u64;
+    return {pvar_u64("counters.schedule_builds"), pvar_u64("counters.schedule_cache_hits"),
+            pvar_u64("counters.schedule_cache_evictions"),
+            pvar_u64("counters.schedule_peak_scratch_bytes.rank")};
 }
 
 }  // namespace
 
-TEST(SchedCache, ControlApiRoundTrip) {
-    int enabled = -7;
-    ASSERT_EQ(XMPI_T_sched_cache_get(&enabled), MPI_SUCCESS);
-    {
-        CachePin const pin(0);
-        ASSERT_EQ(XMPI_T_sched_cache_get(&enabled), MPI_SUCCESS);
-        EXPECT_EQ(enabled, 0);
-    }
-    {
-        CachePin const pin(1);
-        ASSERT_EQ(XMPI_T_sched_cache_get(&enabled), MPI_SUCCESS);
-        EXPECT_EQ(enabled, 1);
-    }
-    EXPECT_EQ(XMPI_T_sched_cache_set(2), MPI_ERR_ARG);
-    EXPECT_EQ(XMPI_T_sched_cache_set(-2), MPI_ERR_ARG);
-    EXPECT_EQ(XMPI_T_sched_cache_get(nullptr), MPI_ERR_ARG);
-
-    long long seg = -1;
-    {
-        testing_utils::SegPin const pin(4096);
-        ASSERT_EQ(XMPI_T_segment_get(&seg), MPI_SUCCESS);
-        EXPECT_EQ(seg, 4096);
-    }
-    EXPECT_EQ(XMPI_T_segment_set(-1), MPI_ERR_ARG);
-    EXPECT_EQ(XMPI_T_segment_get(nullptr), MPI_ERR_ARG);
-
-    // Stats are per rank; outside a rank body there is nothing to report.
+TEST(SchedCache, CountersAreRankLocal) {
+    // The schedule counters are per rank; outside a rank body there is
+    // nothing to report.
+    int const builds = testing_utils::pvar_index("counters.schedule_builds");
+    ASSERT_GE(builds, 0);
     unsigned long long v = 0;
-    EXPECT_EQ(XMPI_T_sched_stats(&v, nullptr, nullptr, nullptr), MPI_ERR_OTHER);
+    int count = 1;
+    EXPECT_EQ(XMPI_T_pvar_read(builds, &v, &count), MPI_ERR_OTHER);
 }
 
 TEST(SchedCache, RepeatedBlockingAllreduceHitsCache) {
@@ -290,50 +270,6 @@ TEST(SchedCache, UserOpAndDerivedTypeAreNotCached) {
         EXPECT_EQ(out[0], 3);
         EXPECT_EQ(buf[0], 7);
     });
-}
-
-TEST(SchedCache, InvalidTuningEnvWarnsOnceAndFallsBack) {
-    // Zero/garbage XMPI_SEGMENT_BYTES and an unknown XMPI_SCHED_CACHE value
-    // must warn once on stderr and fall back (cost-model segments, cache
-    // enabled) instead of building a degenerate schedule.
-    char const* const saved_seg = std::getenv("XMPI_SEGMENT_BYTES");
-    std::string const saved_seg_value = saved_seg != nullptr ? saved_seg : "";
-    char const* const saved_cache = std::getenv("XMPI_SCHED_CACHE");
-    std::string const saved_cache_value = saved_cache != nullptr ? saved_cache : "";
-    setenv("XMPI_SEGMENT_BYTES", "0", 1);
-    setenv("XMPI_SCHED_CACHE", "sometimes", 1);
-    ::testing::internal::CaptureStderr();
-    ASSERT_EQ(XMPI_T_alg_env_refresh(), MPI_SUCCESS);
-    long long seg = -1;
-    ASSERT_EQ(XMPI_T_segment_get(&seg), MPI_SUCCESS);
-    EXPECT_EQ(seg, 0) << "invalid XMPI_SEGMENT_BYTES must not produce an override";
-    int enabled = 0;
-    ASSERT_EQ(XMPI_T_sched_cache_get(&enabled), MPI_SUCCESS);
-    EXPECT_EQ(enabled, 1) << "invalid XMPI_SCHED_CACHE must leave the cache enabled";
-    // The warnings are emitted at resolution time, exactly once each; a
-    // collective afterwards must not repeat them.
-    xmpi::run(4, [](int rank) {
-        int v = rank, s = 0;
-        ASSERT_EQ(MPI_Allreduce(&v, &s, 1, MPI_INT, MPI_SUM, MPI_COMM_WORLD), MPI_SUCCESS);
-        EXPECT_EQ(s, 6);
-    });
-    std::string const err = ::testing::internal::GetCapturedStderr();
-    EXPECT_NE(err.find("XMPI_SEGMENT_BYTES"), std::string::npos) << err;
-    EXPECT_NE(err.find("XMPI_SCHED_CACHE"), std::string::npos) << err;
-    EXPECT_EQ(err.find("XMPI_SEGMENT_BYTES", err.find("XMPI_SEGMENT_BYTES") + 1),
-              std::string::npos)
-        << err;
-    if (saved_seg != nullptr) {
-        setenv("XMPI_SEGMENT_BYTES", saved_seg_value.c_str(), 1);
-    } else {
-        unsetenv("XMPI_SEGMENT_BYTES");
-    }
-    if (saved_cache != nullptr) {
-        setenv("XMPI_SCHED_CACHE", saved_cache_value.c_str(), 1);
-    } else {
-        unsetenv("XMPI_SCHED_CACHE");
-    }
-    ASSERT_EQ(XMPI_T_alg_env_refresh(), MPI_SUCCESS);
 }
 
 // ---------------------------------------------------------------------------

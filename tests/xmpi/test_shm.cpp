@@ -1,11 +1,12 @@
 /// @file test_shm.cpp
-/// @brief Zero-copy shared-memory transport: the XMPI_SHM / XMPI_T_shm_set
-/// enablement layering (control pin beats environment, garbage disables
-/// with a warn-once), the per-rank shm copy counters and the shm.* pvar
+/// @brief Zero-copy shared-memory transport: the per-rank shm copy
+/// counters and the shm.* pvar
 /// protocol statistics, the schedule-cache epoch interaction of the control
 /// pin, and the virtual-time simulator's pricing of copy tapes (the shm
 /// hierarchical allgather must beat the p2p composition by the recorded
-/// BENCH_shm margin at 2 MiB on 2x8).
+/// BENCH_shm margin at 2 MiB on 2x8). The XMPI_SHM row's layering (control
+/// beats environment, garbage disables with one warning) is covered by
+/// test_cvar.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -26,56 +27,10 @@ namespace topo = xmpi::detail::topo;
 
 namespace {
 
+using testing_utils::pvar_index;
+using testing_utils::pvar_u64;
 using testing_utils::ShmPin;
 using testing_utils::TopoPin;
-
-/// setenv/unsetenv + env-refresh RAII (same idiom as the trace/tune tests)
-/// so a failing assertion cannot leak an shm environment into later tests.
-struct EnvVar {
-    EnvVar(char const* name, std::string const& value) : name_(name) {
-        char const* const old = std::getenv(name);
-        had_ = old != nullptr;
-        if (had_) old_ = old;
-        setenv(name, value.c_str(), 1);
-        XMPI_T_alg_env_refresh();
-    }
-    ~EnvVar() {
-        if (had_) {
-            setenv(name_, old_.c_str(), 1);
-        } else {
-            unsetenv(name_);
-        }
-        XMPI_T_alg_env_refresh();
-    }
-    EnvVar(EnvVar const&) = delete;
-    EnvVar& operator=(EnvVar const&) = delete;
-
-private:
-    char const* name_;
-    bool had_ = false;
-    std::string old_;
-};
-
-struct EnvUnset {
-    explicit EnvUnset(char const* name) : name_(name) {
-        char const* const old = std::getenv(name);
-        had_ = old != nullptr;
-        if (had_) old_ = old;
-        unsetenv(name);
-        XMPI_T_alg_env_refresh();
-    }
-    ~EnvUnset() {
-        if (had_) setenv(name_, old_.c_str(), 1);
-        XMPI_T_alg_env_refresh();
-    }
-    EnvUnset(EnvUnset const&) = delete;
-    EnvUnset& operator=(EnvUnset const&) = delete;
-
-private:
-    char const* name_;
-    bool had_ = false;
-    std::string old_;
-};
 
 /// Pins one family's algorithm via the control API for the scope.
 struct AlgPin {
@@ -87,33 +42,6 @@ struct AlgPin {
     AlgPin(AlgPin const&) = delete;
     AlgPin& operator=(AlgPin const&) = delete;
 };
-
-int pvar_index(std::string const& name) {
-    int num = 0;
-    if (XMPI_T_pvar_num(&num) != MPI_SUCCESS) return -1;
-    char buf[128];
-    for (int i = 0; i < num; ++i) {
-        if (XMPI_T_pvar_name(i, buf, sizeof(buf), nullptr) != MPI_SUCCESS) return -1;
-        if (name == buf) return i;
-    }
-    return -1;
-}
-
-unsigned long long pvar_read_scalar(int index) {
-    unsigned long long v = 0;
-    int count = 1;
-    EXPECT_EQ(XMPI_T_pvar_read(index, &v, &count), MPI_SUCCESS) << "pvar " << index;
-    EXPECT_EQ(count, 1);
-    return v;
-}
-
-std::size_t count_occurrences(std::string const& hay, std::string const& needle) {
-    std::size_t n = 0;
-    for (std::size_t at = hay.find(needle); at != std::string::npos;
-         at = hay.find(needle, at + needle.size()))
-        ++n;
-    return n;
-}
 
 /// One pinned hierarchical allreduce; returns the aggregated run counters.
 xmpi::Counters run_hier_allreduce(int p, int count) {
@@ -129,41 +57,6 @@ xmpi::Counters run_hier_allreduce(int p, int count) {
 }
 
 }  // namespace
-
-TEST(Shm, ControlPinBeatsEnvironment) {
-    int v = -2;
-    {
-        EnvUnset const clear("XMPI_SHM");
-        ASSERT_EQ(XMPI_T_shm_get(&v), MPI_SUCCESS);
-        EXPECT_EQ(v, 1) << "unset XMPI_SHM defaults to enabled";
-    }
-    {
-        EnvVar const env("XMPI_SHM", "0");
-        ASSERT_EQ(XMPI_T_shm_get(&v), MPI_SUCCESS);
-        EXPECT_EQ(v, 0);
-        {
-            ShmPin const pin(1);
-            ASSERT_EQ(XMPI_T_shm_get(&v), MPI_SUCCESS);
-            EXPECT_EQ(v, 1) << "control pin beats XMPI_SHM=0";
-        }
-        ASSERT_EQ(XMPI_T_shm_get(&v), MPI_SUCCESS);
-        EXPECT_EQ(v, 0) << "clearing the pin re-exposes the environment";
-    }
-    EXPECT_EQ(XMPI_T_shm_get(nullptr), MPI_ERR_ARG);
-}
-
-TEST(Shm, GarbageEnvWarnsOnceAndDisables) {
-    // Unlike most knobs the garbage fallback is *off*: a mistyped XMPI_SHM
-    // must never silently leave direct peer-buffer access enabled.
-    ::testing::internal::CaptureStderr();
-    EnvVar const env("XMPI_SHM", "banana");
-    int v = -2;
-    ASSERT_EQ(XMPI_T_shm_get(&v), MPI_SUCCESS);
-    ASSERT_EQ(XMPI_T_shm_get(&v), MPI_SUCCESS);  // second read: no second warning
-    std::string const err = ::testing::internal::GetCapturedStderr();
-    EXPECT_EQ(v, 0);
-    EXPECT_EQ(count_occurrences(err, "XMPI_SHM"), 1u) << err;
-}
 
 TEST(Shm, CountersCountCopiesOnlyWhenEnabled) {
     TopoPin const topo(4);
@@ -198,25 +91,25 @@ TEST(Shm, PvarsExposeProtocolStats) {
 
     {
         ShmPin const off(0);
-        EXPECT_EQ(pvar_read_scalar(enabled_idx), 0u);
+        EXPECT_EQ(pvar_u64(enabled_idx), 0u);
     }
     ShmPin const on(1);
-    EXPECT_EQ(pvar_read_scalar(enabled_idx), 1u);
+    EXPECT_EQ(pvar_u64(enabled_idx), 1u);
 
     TopoPin const topo(4);
-    unsigned long long const pub0 = pvar_read_scalar(pub_idx);
-    unsigned long long const copy0 = pvar_read_scalar(copy_idx);
-    unsigned long long const bytes0 = pvar_read_scalar(bytes_idx);
-    unsigned long long const drain0 = pvar_read_scalar(drain_idx);
+    unsigned long long const pub0 = pvar_u64(pub_idx);
+    unsigned long long const copy0 = pvar_u64(copy_idx);
+    unsigned long long const bytes0 = pvar_u64(bytes_idx);
+    unsigned long long const drain0 = pvar_u64(drain_idx);
     xmpi::Counters const c = run_hier_allreduce(16, 8192);
-    EXPECT_GT(pvar_read_scalar(pub_idx), pub0);
-    EXPECT_GT(pvar_read_scalar(copy_idx), copy0);
-    EXPECT_GT(pvar_read_scalar(bytes_idx), bytes0);
-    EXPECT_GT(pvar_read_scalar(drain_idx), drain0);
+    EXPECT_GT(pvar_u64(pub_idx), pub0);
+    EXPECT_GT(pvar_u64(copy_idx), copy0);
+    EXPECT_GT(pvar_u64(bytes_idx), bytes0);
+    EXPECT_GT(pvar_u64(drain_idx), drain0);
     // The process-global protocol stats and the per-rank counters agree on
     // the copy count of this isolated run.
-    EXPECT_EQ(pvar_read_scalar(copy_idx) - copy0, c.shm_copies);
-    EXPECT_EQ(pvar_read_scalar(bytes_idx) - bytes0, c.shm_copy_bytes);
+    EXPECT_EQ(pvar_u64(copy_idx) - copy0, c.shm_copies);
+    EXPECT_EQ(pvar_u64(bytes_idx) - bytes0, c.shm_copy_bytes);
 }
 
 TEST(Shm, TogglePinRebuildsCachedSchedules) {
@@ -225,11 +118,7 @@ TEST(Shm, TogglePinRebuildsCachedSchedules) {
     TopoPin const topo(4);
     AlgPin const pin("allreduce", "hierarchical");
     xmpi::run(16, [](int) {
-        auto builds = [] {
-            unsigned long long b = 0;
-            EXPECT_EQ(XMPI_T_sched_stats(&b, nullptr, nullptr, nullptr), MPI_SUCCESS);
-            return b;
-        };
+        auto builds = [] { return pvar_u64("counters.schedule_builds"); };
         std::vector<int> in(4096, 1), out(4096, 0);
         auto coll = [&] {
             ASSERT_EQ(
@@ -257,7 +146,7 @@ TEST(Shm, SimPricesCopyTapesAndShmWins) {
     // *automatic* composition: an XMPI_SEGMENT_BYTES pin forces the p2p
     // pipeline by design, so this test clears it for its own scope.
     testing_utils::ScrubAlgEnv const scrub;
-    EnvUnset const seg("XMPI_SEGMENT_BYTES");
+    testing_utils::EnvVar const seg("XMPI_SEGMENT_BYTES");
     int const p = 16, rpn = 8;
     int const count = 524288;  // x4 bytes = 2 MiB
     int hier_idx = -1;

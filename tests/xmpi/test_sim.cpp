@@ -208,9 +208,11 @@ TEST(SimCounters, DryBuildsAreAccountedSeparatelyFromRealBuilds) {
             MPI_Allreduce(buf.data(), out.data(), 128, MPI_INT, MPI_SUM, MPI_COMM_WORLD);
             if (rank != 0) return;
 
-            unsigned long long builds0 = 0, hits0 = 0, dry0 = 0, steps0 = 0;
-            ASSERT_EQ(MPI_SUCCESS, XMPI_T_sched_stats(&builds0, &hits0, nullptr, nullptr));
-            ASSERT_EQ(MPI_SUCCESS, XMPI_T_sim_stats(&dry0, &steps0, nullptr, nullptr));
+            using testing_utils::pvar_u64;
+            unsigned long long const builds0 = pvar_u64("counters.schedule_builds");
+            unsigned long long const hits0 = pvar_u64("counters.schedule_cache_hits");
+            unsigned long long const dry0 = pvar_u64("sim.dry_builds");
+            unsigned long long const steps0 = pvar_u64("sim.tape_steps");
             EXPECT_GE(builds0, 1ull);  // the real allreduce above compiled a schedule
 
             sim::World w;
@@ -223,50 +225,29 @@ TEST(SimCounters, DryBuildsAreAccountedSeparatelyFromRealBuilds) {
             sim::Result const res = sim::simulate(w, spec);
             ASSERT_EQ(MPI_SUCCESS, res.error) << res.detail;
 
-            unsigned long long builds1 = 0, hits1 = 0, dry1 = 0, steps1 = 0, events1 = 0;
-            double last = 0.0;
-            ASSERT_EQ(MPI_SUCCESS, XMPI_T_sched_stats(&builds1, &hits1, nullptr, nullptr));
-            ASSERT_EQ(MPI_SUCCESS, XMPI_T_sim_stats(&dry1, &steps1, &events1, &last));
             // 64 per-rank dry builds land in the sim counters only; the
             // rank's real schedule accounting must not move.
-            EXPECT_EQ(builds1, builds0);
-            EXPECT_EQ(hits1, hits0);
-            EXPECT_EQ(dry1, dry0 + 64);
-            EXPECT_EQ(steps1, steps0 + res.tape_steps);
-            EXPECT_EQ(last, res.makespan);
+            EXPECT_EQ(pvar_u64("counters.schedule_builds"), builds0);
+            EXPECT_EQ(pvar_u64("counters.schedule_cache_hits"), hits0);
+            EXPECT_EQ(pvar_u64("sim.dry_builds"), dry0 + 64);
+            EXPECT_EQ(pvar_u64("sim.tape_steps"), steps0 + res.tape_steps);
+            EXPECT_EQ(pvar_u64("sim.last_makespan_ns"),
+                      static_cast<unsigned long long>(res.makespan * 1e9));
         },
         cfg);
 }
 
-TEST(SimKnobs, EventLimitValidationEnvFallbackAndEnforcement) {
+TEST(SimKnobs, EventLimitEnforced) {
+    // The sim.event_limit row's precedence and environment validation are
+    // covered by test_cvar; this pins the cap the simulator enforces.
+    int const idx = testing_utils::cvar_index("sim.event_limit");
+    ASSERT_GE(idx, 0);
+    ASSERT_EQ(MPI_SUCCESS, XMPI_T_cvar_write(idx, "7"));
     long long limit = -99;
-    EXPECT_EQ(MPI_ERR_ARG, XMPI_T_sim_event_limit_set(-2));
-    EXPECT_EQ(MPI_ERR_ARG, XMPI_T_sim_event_limit_get(nullptr));
-
-    // Control channel: explicit cap, unlimited, back to automatic.
-    EXPECT_EQ(MPI_SUCCESS, XMPI_T_sim_event_limit_set(123));
-    EXPECT_EQ(MPI_SUCCESS, XMPI_T_sim_event_limit_get(&limit));
-    EXPECT_EQ(123, limit);
-    EXPECT_EQ(MPI_SUCCESS, XMPI_T_sim_event_limit_set(0));
-    EXPECT_EQ(MPI_SUCCESS, XMPI_T_sim_event_limit_get(&limit));
-    EXPECT_EQ(0, limit);
-
-    // Environment channel: invalid warns (once) and falls back to unlimited;
-    // a valid value is picked up; the control pin beats it.
-    ::setenv("XMPI_SIM_EVENT_LIMIT", "banana", 1);
-    sim::reset_sim_env_cache_for_testing();
-    EXPECT_EQ(MPI_SUCCESS, XMPI_T_sim_event_limit_set(-1));
-    EXPECT_EQ(MPI_SUCCESS, XMPI_T_sim_event_limit_get(&limit));
-    EXPECT_EQ(0, limit);
-    ::setenv("XMPI_SIM_EVENT_LIMIT", "5000", 1);
-    sim::reset_sim_env_cache_for_testing();
-    EXPECT_EQ(MPI_SUCCESS, XMPI_T_sim_event_limit_get(&limit));
-    EXPECT_EQ(5000, limit);
-    EXPECT_EQ(MPI_SUCCESS, XMPI_T_sim_event_limit_set(7));
     EXPECT_EQ(MPI_SUCCESS, XMPI_T_sim_event_limit_get(&limit));
     EXPECT_EQ(7, limit);
 
-    // Enforcement: a 64-rank allreduce needs far more than 7 events.
+    // A 64-rank allreduce needs far more than 7 events.
     sim::World w;
     w.size = 64;
     w.cfg = pure_comm_config();
@@ -278,9 +259,10 @@ TEST(SimKnobs, EventLimitValidationEnvFallbackAndEnforcement) {
     EXPECT_EQ(MPI_ERR_OTHER, res.error);
     EXPECT_NE(res.detail.find("event limit"), std::string::npos) << res.detail;
 
-    ::unsetenv("XMPI_SIM_EVENT_LIMIT");
-    sim::reset_sim_env_cache_for_testing();
-    EXPECT_EQ(MPI_SUCCESS, XMPI_T_sim_event_limit_set(-1));
+    // 0 means unlimited.
+    ASSERT_EQ(MPI_SUCCESS, XMPI_T_cvar_write(idx, "0"));
+    EXPECT_EQ(MPI_SUCCESS, sim::simulate(w, spec).error);
+    ASSERT_EQ(MPI_SUCCESS, XMPI_T_cvar_write(idx, nullptr));
 }
 
 TEST(SimModelMatch, AutoSelectedFlatAlgorithmsWithinFivePercent) {

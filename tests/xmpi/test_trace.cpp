@@ -3,9 +3,9 @@
 /// traced event stream of a hierarchical allreduce checked step-for-step
 /// against its dry-built schedule tape, Chrome trace-event export
 /// well-formedness and send/recv flow pairing, pvar enumeration coverage of
-/// every counter reachable through the legacy stats structs, byte-identity
+/// every substrate counter, byte-identity
 /// of counters between traced and untraced runs, blocking-wait wall-time
-/// accounting, warn-once validation of the trace environment knobs, and the
+/// accounting, a garbage ring capacity disabling tracing, and the
 /// per-invocation critical-path attribution replay.
 #include <gtest/gtest.h>
 
@@ -32,61 +32,16 @@ namespace {
 namespace xd = xmpi::detail;
 namespace xt = xmpi::detail::trace;
 
+using testing_utils::count_occurrences;
+using testing_utils::EnvVar;
+using testing_utils::pvar_index;
+using testing_utils::pvar_u64;
 using testing_utils::TopoPin;
 
 /// Adding a Counters field must extend kExpectedPvars below (and the
 /// registry table in trace.cpp, which carries the same assert).
 static_assert(sizeof(xmpi::Counters) == 12 * sizeof(std::uint64_t),
               "Counters changed: update the pvar coverage list in this test");
-
-/// setenv/unsetenv + env-refresh RAII so a failing assertion cannot leak a
-/// trace environment into later tests.
-struct EnvVar {
-    EnvVar(char const* name, std::string const& value) : name_(name) {
-        char const* const old = std::getenv(name);
-        had_ = old != nullptr;
-        if (had_) old_ = old;
-        setenv(name, value.c_str(), 1);
-        XMPI_T_alg_env_refresh();
-    }
-    ~EnvVar() {
-        if (had_) {
-            setenv(name_, old_.c_str(), 1);
-        } else {
-            unsetenv(name_);
-        }
-        XMPI_T_alg_env_refresh();
-    }
-    EnvVar(EnvVar const&) = delete;
-    EnvVar& operator=(EnvVar const&) = delete;
-
-private:
-    char const* name_;
-    bool had_ = false;
-    std::string old_;
-};
-
-/// Guarantees a variable is unset for the scope.
-struct EnvUnset {
-    explicit EnvUnset(char const* name) : name_(name) {
-        char const* const old = std::getenv(name);
-        had_ = old != nullptr;
-        if (had_) old_ = old;
-        unsetenv(name);
-        XMPI_T_alg_env_refresh();
-    }
-    ~EnvUnset() {
-        if (had_) setenv(name_, old_.c_str(), 1);
-        XMPI_T_alg_env_refresh();
-    }
-    EnvUnset(EnvUnset const&) = delete;
-    EnvUnset& operator=(EnvUnset const&) = delete;
-
-private:
-    char const* name_;
-    bool had_ = false;
-    std::string old_;
-};
 
 /// Pins one family's algorithm via the control API for the scope.
 struct AlgPin {
@@ -101,25 +56,6 @@ private:
     char const* family_;
 };
 
-int pvar_index(std::string const& name) {
-    int num = 0;
-    if (XMPI_T_pvar_num(&num) != MPI_SUCCESS) return -1;
-    char buf[128];
-    for (int i = 0; i < num; ++i) {
-        if (XMPI_T_pvar_name(i, buf, sizeof(buf), nullptr) != MPI_SUCCESS) return -1;
-        if (name == buf) return i;
-    }
-    return -1;
-}
-
-unsigned long long pvar_read_scalar(int index) {
-    unsigned long long v = 0;
-    int count = 1;
-    EXPECT_EQ(XMPI_T_pvar_read(index, &v, &count), MPI_SUCCESS) << "pvar " << index;
-    EXPECT_EQ(count, 1);
-    return v;
-}
-
 bool file_exists(std::string const& path) {
     std::FILE* const f = std::fopen(path.c_str(), "r");
     if (f == nullptr) return false;
@@ -132,14 +68,6 @@ std::string read_file(std::string const& path) {
     std::ostringstream out;
     out << in.rdbuf();
     return out.str();
-}
-
-std::size_t count_occurrences(std::string const& hay, std::string const& needle) {
-    std::size_t n = 0;
-    for (std::size_t at = hay.find(needle); at != std::string::npos;
-         at = hay.find(needle, at + needle.size()))
-        ++n;
-    return n;
 }
 
 /// Minimal recursive-descent JSON well-formedness checker — enough to assert
@@ -466,9 +394,9 @@ TEST(Trace, PvarRegistryCoversStatsStructs) {
     }
     EXPECT_EQ(static_cast<int>(names.size()), num) << "duplicate pvar names";
 
-    // Every counter reachable through Counters / XMPI_T_sched_stats /
-    // XMPI_T_sim_stats / XMPI_T_tune_stats must be enumerable. The
-    // static_assert at the top of this file pins the Counters field count.
+    // Every counter of Counters and of the sim / tune / trace subsystems
+    // must be enumerable. The static_assert at the top of this file pins
+    // the Counters field count.
     char const* const expected[] = {
         "counters.p2p_messages",
         "counters.p2p_bytes",
@@ -494,6 +422,7 @@ TEST(Trace, PvarRegistryCoversStatsStructs) {
         "tune.recoveries",
         "trace.events_recorded",
         "trace.events_dropped",
+        "trace.events_merged",
     };
     for (char const* name : expected) {
         EXPECT_EQ(names.count(name), 1u) << "missing pvar: " << name;
@@ -524,16 +453,14 @@ TEST(Trace, PvarRegistryCoversStatsStructs) {
     xmpi::run(2, [&](int) {
         std::vector<int> b(16, 1);
         ASSERT_EQ(MPI_Bcast(b.data(), 16, MPI_INT, 0, MPI_COMM_WORLD), MPI_SUCCESS);
-        EXPECT_EQ(pvar_read_scalar(cm), xmpi::counters_now().coll_messages);
+        EXPECT_EQ(pvar_u64(cm), xmpi::counters_now().coll_messages);
         int const rank_peak = pvar_index("counters.schedule_peak_scratch_bytes.rank");
         int const max_peak = pvar_index("counters.schedule_peak_scratch_bytes.max");
         ASSERT_GE(rank_peak, 0);
         ASSERT_GE(max_peak, 0);
-        EXPECT_GE(pvar_read_scalar(max_peak), pvar_read_scalar(rank_peak));
-        unsigned long long builds = 0, hits = 0, evictions = 0, peak = 0;
-        ASSERT_EQ(XMPI_T_sched_stats(&builds, &hits, &evictions, &peak), MPI_SUCCESS);
-        EXPECT_EQ(pvar_read_scalar(pvar_index("counters.schedule_builds")), builds);
-        EXPECT_EQ(pvar_read_scalar(rank_peak), peak);
+        EXPECT_GE(pvar_u64(max_peak), pvar_u64(rank_peak));
+        EXPECT_EQ(pvar_u64("counters.schedule_builds"), xmpi::counters_now().schedule_builds);
+        EXPECT_EQ(pvar_u64(rank_peak), xmpi::counters_now().schedule_peak_scratch_bytes);
     });
 }
 
@@ -611,7 +538,7 @@ TEST(Trace, UntracedRunCountersIdenticalToTraced) {
     cfg.compute_scale = 0.0;
     xmpi::RunResult off;
     {
-        EnvUnset const no_trace("XMPI_TRACE");
+        EnvVar const no_trace("XMPI_TRACE");
         off = xmpi::run(4, workload, cfg);
     }
     xmpi::RunResult on;
@@ -647,10 +574,10 @@ TEST(Trace, WaitTimeAccountedAndResettable) {
             ASSERT_EQ(
                 MPI_Recv(buf.data(), 4, MPI_INT, 1, 7, MPI_COMM_WORLD, MPI_STATUS_IGNORE),
                 MPI_SUCCESS);
-            EXPECT_GE(pvar_read_scalar(wi), 1000000ull)
+            EXPECT_GE(pvar_u64(wi), 1000000ull)
                 << "a ~5ms-delayed receive must account >= 1ms of wait";
             ASSERT_EQ(XMPI_T_pvar_reset(wi), MPI_SUCCESS);
-            EXPECT_EQ(pvar_read_scalar(wi), 0ull);
+            EXPECT_EQ(pvar_u64(wi), 0ull);
         } else {
             ASSERT_EQ(
                 MPI_Recv(buf.data(), 4, MPI_INT, 0, 6, MPI_COMM_WORLD, MPI_STATUS_IGNORE),
@@ -698,6 +625,8 @@ TEST(Trace, GarbageRingEnvWarnsAndDisablesTracing) {
         EXPECT_GT(lr.dropped, 0u);
         EXPECT_GT(lr.recorded, lr.dropped);
         EXPECT_LE(lr.records.size(), 2u * 32u);  // at most one ring per rank survives
+        EXPECT_EQ(pvar_u64("trace.events_merged"), lr.records.size());
+        EXPECT_EQ(pvar_u64("trace.events_dropped"), lr.dropped);
     }
 }
 

@@ -5,9 +5,9 @@
 /// *exactly* — the tape is deterministic), the measured-selection feedback
 /// loop (a mis-set cost model must be demoted to the measured winner within
 /// a pinned number of calls), the feedback/schedule-cache epoch interaction
-/// (a tuning update must rebuild exactly once, accounted by
-/// XMPI_T_sched_stats), and the warn-once validation of XMPI_TUNE /
-/// XMPI_TUNE_PROFILE.
+/// (a tuning update must rebuild exactly once, accounted by the
+/// counters.schedule_* pvars), and the warn-once validation of
+/// XMPI_TUNE_PROFILE. The XMPI_TUNE row itself is covered by test_cvar.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -24,6 +24,9 @@
 
 namespace {
 
+using testing_utils::count_occurrences;
+using testing_utils::EnvVar;
+using testing_utils::pvar_u64;
 using testing_utils::TopoPin;
 
 /// Restores every tuning layer this test may have touched: control pins,
@@ -65,46 +68,12 @@ std::string selected(char const* family) {
     return name != nullptr ? name : "";
 }
 
-std::size_t count_occurrences(std::string const& hay, std::string const& needle) {
-    std::size_t n = 0;
-    for (std::size_t at = hay.find(needle); at != std::string::npos;
-         at = hay.find(needle, at + needle.size()))
-        ++n;
-    return n;
-}
-
 void write_file(std::string const& path, char const* content) {
     std::FILE* const f = std::fopen(path.c_str(), "w");
     ASSERT_NE(f, nullptr) << path;
     std::fputs(content, f);
     std::fclose(f);
 }
-
-/// setenv/unsetenv + env-refresh RAII so a failing assertion cannot leak a
-/// tuning environment into later tests.
-struct EnvVar {
-    EnvVar(char const* name, std::string const& value) : name_(name) {
-        char const* const old = std::getenv(name);
-        had_ = old != nullptr;
-        if (had_) old_ = old;
-        setenv(name, value.c_str(), 1);
-    }
-    ~EnvVar() {
-        if (had_) {
-            setenv(name_, old_.c_str(), 1);
-        } else {
-            unsetenv(name_);
-        }
-        XMPI_T_alg_env_refresh();
-    }
-    EnvVar(EnvVar const&) = delete;
-    EnvVar& operator=(EnvVar const&) = delete;
-
-private:
-    char const* name_;
-    bool had_ = false;
-    std::string old_;
-};
 
 }  // namespace
 
@@ -136,10 +105,9 @@ TEST(Tune, ControlApiValidation) {
     EXPECT_DOUBLE_EQ(tune_get("feedback"), 0.0);
     ASSERT_EQ(XMPI_T_tune_set("feedback", -1.0), MPI_SUCCESS);
 
-    unsigned long long records = 1, probes = 1, demotions = 1, recoveries = 1;
-    ASSERT_EQ(XMPI_T_tune_stats(&records, &probes, &demotions, &recoveries), MPI_SUCCESS);
-    EXPECT_EQ(records, 0u);  // guard just reset them
-    ASSERT_EQ(XMPI_T_tune_stats(nullptr, nullptr, nullptr, nullptr), MPI_SUCCESS);
+    // The guard just reset the feedback-loop counters.
+    for (char const* name : {"tune.records", "tune.probes", "tune.demotions", "tune.recoveries"})
+        EXPECT_EQ(pvar_u64(name), 0u) << name;
 }
 
 TEST(Tune, CalibrationRecoversConfiguredMachineExactly) {
@@ -242,11 +210,9 @@ TEST(Tune, FeedbackDemotesMisSetModelToMeasuredWinner) {
     // After the warm-up window the bucket's preference is frozen on the
     // measured winner and the final calls all select it.
     EXPECT_EQ(selected("allreduce"), "hierarchical");
-    unsigned long long records = 0, probes = 0, demotions = 0, recoveries = 0;
-    ASSERT_EQ(XMPI_T_tune_stats(&records, &probes, &demotions, &recoveries), MPI_SUCCESS);
-    EXPECT_GT(records, 0u);
-    EXPECT_GE(probes, 5u);     // every non-model candidate was measured
-    EXPECT_GE(demotions, 1u);  // the mis-set model's pick was overruled
+    EXPECT_GT(pvar_u64("tune.records"), 0u);
+    EXPECT_GE(pvar_u64("tune.probes"), 5u);     // every non-model candidate was measured
+    EXPECT_GE(pvar_u64("tune.demotions"), 1u);  // the mis-set model's pick was overruled
 }
 
 TEST(Tune, TuningUpdateRebuildsCachedScheduleExactlyOnce) {
@@ -259,9 +225,8 @@ TEST(Tune, TuningUpdateRebuildsCachedScheduleExactlyOnce) {
     ASSERT_EQ(XMPI_T_alg_set("allreduce", "rdoubling"), MPI_SUCCESS);
     xmpi::run(4, [](int) {
         auto stats = [] {
-            unsigned long long builds = 0, hits = 0;
-            EXPECT_EQ(XMPI_T_sched_stats(&builds, &hits, nullptr, nullptr), MPI_SUCCESS);
-            return std::pair<unsigned long long, unsigned long long>(builds, hits);
+            return std::pair(pvar_u64("counters.schedule_builds"),
+                             pvar_u64("counters.schedule_cache_hits"));
         };
         int v = 1, sum = 0;
         ASSERT_EQ(MPI_Allreduce(&v, &sum, 1, MPI_INT, MPI_SUM, MPI_COMM_WORLD), MPI_SUCCESS);
@@ -303,22 +268,6 @@ TEST(Tune, GarbageProfileWarnsOnceAndFallsBack) {
     EXPECT_EQ(count_occurrences(err, "XMPI_TUNE_PROFILE"), 1u) << err;
     EXPECT_NE(err.find("line 1"), std::string::npos) << err;
     std::remove(path.c_str());
-}
-
-TEST(Tune, GarbageTuneSwitchWarnsOnceAndStaysDisabled) {
-    TuneReset const guard;
-    EnvVar const env("XMPI_TUNE", "maybe");
-    ::testing::internal::CaptureStderr();
-    ASSERT_EQ(XMPI_T_alg_env_refresh(), MPI_SUCCESS);
-    EXPECT_DOUBLE_EQ(tune_get("feedback"), 0.0);
-    EXPECT_DOUBLE_EQ(tune_get("feedback"), 0.0);
-    std::string const err = ::testing::internal::GetCapturedStderr();
-    EXPECT_EQ(count_occurrences(err, "XMPI_TUNE="), 1u) << err;
-    EXPECT_NE(err.find("maybe"), std::string::npos) << err;
-    // The control channel still beats the (invalid, hence disabled) env.
-    ASSERT_EQ(XMPI_T_tune_set("feedback", 1.0), MPI_SUCCESS);
-    EXPECT_DOUBLE_EQ(tune_get("feedback"), 1.0);
-    ASSERT_EQ(XMPI_T_tune_set("feedback", -1.0), MPI_SUCCESS);
 }
 
 TEST(Tune, ControlBeatsEnvProfileBeatsDefaults) {
